@@ -130,7 +130,9 @@ def _default_k(command: str, args) -> tuple[int, ...]:
 def _default_lam(command: str, args) -> tuple[float, ...]:
     if command == "ct":
         return {"wavelet": (2e-2,), "tv": (5e-2,), "hs": (5e-2,)}[args.reg]
-    return (2e-3,)
+    # chosen by final PSNR at the default p = q = 1 (n in {32, 64}, seeds
+    # 0-2); 2e-3 left both reconstructions below the corrupted input
+    return {"deblur": (5e-2,), "sr": (1e-1,)}[command]
 
 
 def _run_task(command: str, args) -> int:

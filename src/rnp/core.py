@@ -107,12 +107,18 @@ class ImageGrid:
 
 
 def standard_normal_matrix(n: int, k: int, rng: Rng) -> np.ndarray:
-    """n-by-k matrix of i.i.d. standard normals drawn column by column."""
+    """n-by-k matrix of i.i.d. standard normals filled column by column.
+
+    One draw of n*k samples fills the columns in order, so the result and
+    the stream position equal k successive ``rng.normal(n)`` columns.
+    """
     if n < 1 or k < 1:
         raise ValueError("matrix dimensions must be >= 1")
     out = np.empty((n, k), dtype=np.float64)
-    for j in range(k):
-        out[:, j] = rng.normal(n)
+    # written through the transpose so the result stays C-ordered:
+    # reductions over it, such as the Frobenius norm in the sketch, sum in
+    # memory order
+    out.T[:] = rng.normal(n * k).reshape(k, n)
     return out
 
 

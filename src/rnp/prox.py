@@ -244,17 +244,48 @@ def weighted_op_norm_sq(op: LinearOperator, structure: GroupStructure,
 # ---------------------------------------------------------------------------
 
 
+def _newton_jacobian(ubar: np.ndarray, gram: np.ndarray, slope: np.ndarray,
+                     sign: int) -> np.ndarray:
+    """I + sign * Ubar' diag(slope) Ubar, from the smaller row set when every
+    slope is 0 or 1 (``gram`` is Ubar'Ubar).
+
+    Both sides occur: a box prox over an image keeps roughly half its
+    pixels inside the box, while a soft threshold with a small weight often
+    passes every coefficient, leaving just the Gram.
+    """
+    on = slope == 1.0
+    if not np.array_equal(slope, on):
+        weighted = ubar.T @ (slope[:, None] * ubar)
+    elif 2 * np.count_nonzero(on) <= slope.size:
+        rows = ubar[on]
+        weighted = rows.T @ rows
+    else:
+        rows = ubar[~on]
+        weighted = gram - rows.T @ rows
+    return np.eye(ubar.shape[1]) + sign * weighted
+
+
 def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
-                   sign: int = 1, tol: float = 1e-10,
-                   max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+                   sign: int = 1, tol: float = 1e-10, max_iter: int = 100,
+                   gram: np.ndarray | None = None,
+                   gamma0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Proximal map in the metric W = I + sign * Ubar Ubar'.
 
     Solves the r-dimensional root problem
         Ubar'(x - prox_d(x - sign * Ubar gamma)) + gamma = 0
     by semismooth Newton with the generalized Jacobian
     I + sign * Ubar' diag(slope) Ubar, falling back to damped fixed-point
-    steps whenever a Newton candidate fails to shrink the residual.
-    Returns (prox value, gamma).
+    steps of length 1 / (1 + lambda_max(Ubar'Ubar)) whenever a Newton
+    candidate fails to shrink the residual; that step length is computed
+    only once a fallback step happens.
+
+    ``gram`` is Ubar'Ubar; callers that reuse one Ubar across many calls
+    pass it (``Preconditioner.gram``), otherwise it is computed here.  When
+    every slope is 0 or 1 the Jacobian is built from the smaller row set:
+    I + sign * U_on'U_on while at most half the slopes are 1, else
+    I + sign * (Ubar'Ubar - U_off'U_off).  ``gamma0`` starts the Newton
+    iteration from a nearby root (such as the previous call's gamma for a
+    nearby x) instead of zero.  Returns (prox value, gamma).
     """
     x = np.asarray(x, dtype=np.float64)
     ubar = np.asarray(ubar, dtype=np.float64)
@@ -263,7 +294,9 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
         return prox_d(x), np.zeros(0)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    lip = 1.0 + float(np.linalg.eigvalsh(ubar.T @ ubar).max())
+    if gram is None:
+        gram = ubar.T @ ubar
+    lip = None
 
     def state(gamma):
         inner = x - sign * (ubar @ gamma)
@@ -271,18 +304,24 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
         resid = ubar.T @ (x - u) + gamma
         return inner, u, resid, float(np.linalg.norm(resid))
 
-    gamma = np.zeros(r)
+    if gamma0 is None:
+        gamma = np.zeros(r)
+    else:
+        gamma = np.array(gamma0, dtype=np.float64)
+        if gamma.shape != (r,):
+            raise ValueError(f"gamma0 must have shape ({r},), got {gamma.shape}")
     inner, u, resid, res_norm = state(gamma)
     for _ in range(max_iter):
         if res_norm <= tol:
             return u, gamma
-        slope = prox_d.slope(inner)
-        jac = np.eye(r) + sign * (ubar.T @ (slope[:, None] * ubar))
+        jac = _newton_jacobian(ubar, gram, prox_d.slope(inner), sign)
         candidate = gamma - np.linalg.solve(jac, resid)
         cand_state = state(candidate)
         if cand_state[3] < res_norm:
             gamma, (inner, u, resid, res_norm) = candidate, cand_state
         else:
+            if lip is None:
+                lip = 1.0 + float(np.linalg.eigvalsh(gram).max())
             gamma = gamma - resid / lip
             inner, u, resid, res_norm = state(gamma)
     raise RuntimeError(
@@ -305,17 +344,25 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     falls below inner_tol and the duality gap certifies the result within
     10*inner_tol*(1+|primal|), or at inner_max.  Returns (x, Q, iterations);
     pass Q back as ``q0`` to warm-start the next call.
+
+    With a preconditioner each box projection is a :func:`wpm_structured`
+    call that reuses ``pre.gram`` and starts its Newton iteration from the
+    previous projection's gamma within this call; the returned values do
+    not carry gamma, so separate calls start from zero.
     """
     s = np.asarray(s, dtype=np.float64)
     if lam_bar < 0:
         raise ValueError("lam_bar must be nonnegative")
 
     structured = pre is not None and pre.rank > 0
+    gamma = None  # root of the previous box prox; the next one starts from it
 
     def prox_p_box(v):
+        nonlocal gamma
         if not structured:
             return box.project(v)
-        u, _ = wpm_structured(BoxProx(box), v, pre.Ubar, 1, tol=wpm_tol)
+        u, gamma = wpm_structured(BoxProx(box), v, pre.Ubar, 1, tol=wpm_tol,
+                                  gram=pre.gram, gamma0=gamma)
         return u
 
     if lam_bar == 0.0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -125,6 +126,12 @@ class Preconditioner:
     @property
     def rank(self) -> int:
         return self.factor.rank
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Ubar'Ubar, computed on first use and then shared by every weighted
+        proximal map in this metric (IRM never asks for it)."""
+        return self.Ubar.T @ self.Ubar
 
     @property
     def sigma_max_pinv(self) -> float:

@@ -365,8 +365,8 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
         s = u - alpha * (pre.apply_Pinv(grad) if pre is not None else grad)
         if separable:
             ubar = pre.Ubar if pre is not None else np.zeros((n, 0))
-            x_next, _ = wpm_structured(SoftThresholdProx(tau), s, ubar, 1,
-                                       tol=1e-11)
+            x_next, _ = wpm_structured(SoftThresholdProx(tau), s, ubar, 1, tol=1e-11,
+                                       gram=pre.gram if pre is not None else None)
             inner = 0
         else:
             x_next, q_dual, inner = wpm_mixed_dual(

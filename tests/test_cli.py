@@ -2,9 +2,12 @@ import csv
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rnp.cli import main
+from rnp.core import ImageGrid, Rng, psnr
+from rnp.problems import make_deblur, make_sr
 
 
 def run_cli(args, monkeypatch=None, env=None):
@@ -111,3 +114,27 @@ class TestDiag:
         main(["diag", "--seed", "5"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestDefaultLambda:
+    @pytest.mark.parametrize("command", ["deblur", "sr"])
+    def test_default_run_beats_corrupted_input(self, tmp_path, command):
+        code = main([command, "--n", "32", "--seed", "1", "--max-iter", "3",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        if command == "deblur":
+            problem = make_deblur("gauss9", 32, 0.05, Rng(1))
+            observed = ImageGrid(32, 32, problem.y)
+        else:
+            # nearest-neighbour upsampling of the half-resolution observation
+            problem = make_sr(32, 2, 0.05, Rng(1))
+            low = problem.y.reshape(16, 16, order="F")
+            observed = ImageGrid.from_matrix(np.kron(low, np.ones((2, 2))))
+        input_psnr = psnr(observed, problem.ground_truth)
+        summary = next(tmp_path.glob("*/summary.csv"))
+        with open(summary, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert {int(r["K"]) for r in rows} == {0, 100}
+        for row in rows:
+            assert row["status"] == "ok"
+            assert float(row["final_psnr"]) > input_psnr

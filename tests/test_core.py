@@ -36,6 +36,18 @@ class TestRng:
     def test_shape(self):
         assert standard_normal_matrix(2, 3, Rng(0)).shape == (2, 3)
 
+    def test_matrix_equals_column_by_column_draws(self):
+        n, k = 37, 5
+        drawn, ref_rng = Rng(17), Rng(17)
+        out = standard_normal_matrix(n, k, drawn)
+        ref = np.empty((n, k))
+        for j in range(k):
+            ref[:, j] = ref_rng.normal(n)
+        assert np.array_equal(out, ref)
+        assert out.flags.c_contiguous
+        assert drawn.counter == ref_rng.counter
+        assert np.array_equal(drawn.normal(3), ref_rng.normal(3))
+
     def test_permutation(self):
         p = Rng(9).permutation(100)
         assert sorted(p) == list(range(100))

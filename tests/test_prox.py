@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from rnp import prox
 from rnp.core import Rng, standard_normal_matrix
 from rnp.linops import (GroupStructure, LinearOperator, grad_operator,
                         identity_operator, matrix_operator, to_dense)
+from rnp.problems import make_ct
 from rnp.prox import (BoxConstraint, BoxProx, IdentityProx, SoftThresholdProx,
-                      SoftThresholdBoxProx, dual_exponent, group_pairing,
-                      mixed_norm_value, project_box, project_group_ball,
-                      soft_threshold, weighted_op_norm_sq, wpm_mixed_dual,
-                      wpm_structured)
+                      SoftThresholdBoxProx, _newton_jacobian, dual_exponent,
+                      group_pairing, mixed_norm_value, project_box,
+                      project_group_ball, soft_threshold, weighted_op_norm_sq,
+                      wpm_mixed_dual, wpm_structured)
 from rnp.sketch import NystromFactor, build_preconditioner
+from rnp.solvers import WapgConfig, build_wapg_preconditioner, wapg_solve
 
 
 def difference_1d() -> LinearOperator:
@@ -218,6 +221,78 @@ class TestWpmStructured:
         with pytest.raises(RuntimeError):
             wpm_structured(BoxProx(BoxConstraint(0.0, 1.0)), 3.0 * np.ones(4),
                            np.ones((4, 1)), tol=1e-16, max_iter=1)
+
+
+class TestWpmFastPath:
+    def test_jacobian_matches_dense_formula(self):
+        rng = Rng(30)
+        n, r = 40, 4
+        ubar = standard_normal_matrix(n, r, rng)
+        gram = ubar.T @ ubar
+        u = rng.uniform(n)
+        slopes = {"few active": (u < 0.25).astype(float),
+                  "most active": (u < 0.75).astype(float),
+                  "fractional": u}
+        assert 2 * slopes["few active"].sum() <= n < 2 * slopes["most active"].sum()
+        for slope in slopes.values():
+            for sign in (1, -1):
+                dense = np.eye(r) + sign * (ubar.T @ np.diag(slope) @ ubar)
+                jac = _newton_jacobian(ubar, gram, slope, sign)
+                assert np.abs(jac - dense).max() <= 1e-12
+
+    def test_warm_start_matches_cold_start(self):
+        box_prox = BoxProx(BoxConstraint(0.0, 1.0))
+        rng = Rng(31)
+        ubar = 0.5 * standard_normal_matrix(50, 5, rng)
+        x = 2.0 * rng.normal(50)
+        _, gamma_prev = wpm_structured(box_prox, x, ubar, tol=1e-12)
+        x_next = x + 0.05 * rng.normal(50)
+        tol = 1e-12
+        cold, _ = wpm_structured(box_prox, x_next, ubar, tol=tol)
+        warm, gamma = wpm_structured(box_prox, x_next, ubar, tol=tol,
+                                     gamma0=gamma_prev)
+        assert np.abs(warm - cold).max() <= 1e-10
+        assert np.linalg.norm(ubar.T @ (x_next - warm) + gamma) <= tol
+        with pytest.raises(ValueError):
+            wpm_structured(box_prox, x_next, ubar, gamma0=np.zeros(4))
+
+    def test_gram_argument_matches_internal_gram(self):
+        rng = Rng(32)
+        ubar = standard_normal_matrix(30, 3, rng)
+        x = 2.0 * rng.normal(30)
+        for prox_d in (BoxProx(BoxConstraint(0.0, 1.0)), SoftThresholdProx(0.3)):
+            u, gamma = wpm_structured(prox_d, x, ubar, tol=1e-12)
+            u_g, gamma_g = wpm_structured(prox_d, x, ubar, tol=1e-12,
+                                          gram=ubar.T @ ubar)
+            assert np.array_equal(u, u_g) and np.array_equal(gamma, gamma_g)
+
+    def test_warm_start_cuts_newton_steps_in_wapg(self, monkeypatch):
+        problem = make_ct(32, 20, "tv", 0.01, Rng(0))
+        cfg = WapgConfig(lam=0.05, sketch_size=8, outer_max=10,
+                         box=BoxConstraint(0.0, 1.0))
+        pre, _ = build_wapg_preconditioner(problem, cfg, Rng(1).spawn(0))
+        steps = [0]
+        slope = BoxProx.slope
+
+        def counting_slope(self, u):  # one slope evaluation per Newton step
+            steps[0] += 1
+            return slope(self, u)
+
+        monkeypatch.setattr(BoxProx, "slope", counting_slope)
+
+        def solve():
+            steps[0] = 0
+            _, trace = wapg_solve(problem, cfg, pre, Rng(1).spawn(1))
+            return steps[0], trace
+
+        warm_steps, warm_trace = solve()
+        warm_func = prox.wpm_structured
+        monkeypatch.setattr(prox, "wpm_structured",
+                            lambda *a, gamma0=None, **kw: warm_func(*a, **kw))
+        cold_steps, cold_trace = solve()
+        assert 0 < warm_steps < cold_steps
+        assert np.array_equal(warm_trace.inner_iters, cold_trace.inner_iters)
+        assert np.allclose(warm_trace.costs, cold_trace.costs, rtol=1e-9, atol=0)
 
 
 class TestWpmMixedDual:
