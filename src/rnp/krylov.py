@@ -28,17 +28,27 @@ class KrylovReport:
     converged: bool
 
 
-def pcg(phi: LinearOperator, b: np.ndarray, pinv: Optional[Callable[[np.ndarray], np.ndarray]],
+Pinv = Callable[[np.ndarray], np.ndarray]
+
+
+def pcg(phi: LinearOperator, b: np.ndarray, pinv: Optional[Pinv],
         tol: float = DEFAULT_TOL, maxiter: int = DEFAULT_MAXITER,
-        x0: Optional[np.ndarray] = None) -> KrylovReport:
+        x0: Optional[np.ndarray] = None,
+        build_pinv: Optional[Callable[[], Pinv]] = None) -> KrylovReport:
     """Preconditioned CG on Phi x = b; ``pinv=None`` reduces exactly to CG.
 
     The preconditioned residual enters the inner products; the stopping rule
     uses the true residual.  A nonpositive curvature p' Phi p aborts with a
     LinAlgError since it contradicts the SPD assumption.
+
+    ``build_pinv``, in place of ``pinv``, is called once to make the
+    preconditioner, and only when the starting point misses ``tol`` and an
+    iteration will run: a solve that returns ``x0`` never pays for it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if pinv is not None and build_pinv is not None:
+        raise ValueError("pass pinv or build_pinv, not both")
     b = np.asarray(b, dtype=np.float64)
     x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     norm_b = np.linalg.norm(b)
@@ -47,10 +57,14 @@ def pcg(phi: LinearOperator, b: np.ndarray, pinv: Optional[Callable[[np.ndarray]
     if norm_b == 0.0:
         return KrylovReport(np.zeros_like(b), 0, 0.0, True)
     r = b - phi.apply(x)
+    relres = np.linalg.norm(r) / norm_b
+    if not (relres > tol and maxiter > 0):  # the loop below would not run
+        return KrylovReport(x, 0, float(relres), relres <= tol)
+    if build_pinv is not None:
+        pinv = build_pinv()
     z = pinv(r) if pinv is not None else r
     p = z.copy()
     rz = float(np.dot(r, z))
-    relres = np.linalg.norm(r) / norm_b
     iterations = 0
     while relres > tol and iterations < maxiter:
         w = phi.apply(p)

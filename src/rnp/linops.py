@@ -141,30 +141,33 @@ def _as_image(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def blur_operator(kernel: np.ndarray, rows: int, cols: int) -> LinearOperator:
-    """Circular 2-D convolution with an odd-sized kernel (FFT-based)."""
+    """Circular 2-D convolution with an odd-sized kernel (FFT-based).
+
+    Images are real, so the transfer function is stored as the half
+    spectrum ``rfft2`` of the centred, zero-padded kernel, and each apply is
+    ``irfft2(rfft2(image) * otf)``; the adjoint multiplies by ``conj(otf)``.
+    The transforms run on the column-stacked vector read as the transposed
+    image (cols x rows, C order), which needs no copy, so the kernel is
+    transposed to match.
+    """
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
         raise ValueError("kernel must be 2-D with odd side lengths")
     if kernel.shape[0] > rows or kernel.shape[1] > cols:
         raise ValueError("kernel larger than image")
-    pad = np.zeros((rows, cols))
+    pad = np.zeros((cols, rows))
     kr, kc = kernel.shape
-    pad[:kr, :kc] = kernel
-    pad = np.roll(pad, (-(kr // 2), -(kc // 2)), axis=(0, 1))
-    otf = np.fft.fft2(pad)
+    pad[:kc, :kr] = kernel.T
+    pad = np.roll(pad, (-(kc // 2), -(kr // 2)), axis=(0, 1))
+    otf = np.fft.rfft2(pad)
+    otf_conj = np.conj(otf)
     n = rows * cols
 
-    def apply(x):
-        im = _as_image(x, rows, cols)
-        out = np.fft.ifft2(np.fft.fft2(im) * otf).real
-        return out.ravel(order="F")
+    def filtered(x, transfer):
+        im_t = np.asarray(x, dtype=np.float64).reshape(cols, rows)
+        return np.fft.irfft2(np.fft.rfft2(im_t) * transfer, s=(cols, rows)).ravel()
 
-    def adjoint(y):
-        im = _as_image(y, rows, cols)
-        out = np.fft.ifft2(np.fft.fft2(im) * np.conj(otf)).real
-        return out.ravel(order="F")
-
-    return LinearOperator(n, n, apply, adjoint)
+    return LinearOperator(n, n, lambda x: filtered(x, otf), lambda y: filtered(y, otf_conj))
 
 
 def downsample_operator(blur: LinearOperator, rows: int, cols: int, factor: int) -> LinearOperator:

@@ -10,6 +10,11 @@ with tail value t = s_K (the smallest sketched eigenvalue) or sqrt(s_K)
 when ``sqrt_tail`` is set, which empirically speeds up the weighted
 proximal solvers.  All four powers of P share the rank-structured form
 I + U diag(c) U' and apply in O(N K).
+
+The sketch follows the stabilized Nystrom method (Tropp, Yurtsever, Udell
+& Cevher, SIMAX 2017): shift, Cholesky of the K x K core, one triangular
+solve for the N x K factor B, then the spectrum of B from the K x K matrix
+B'B, so no N x K decomposition is needed.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ MACHINE_EPS = 2.2e-16
 class NystromFactor:
     """Output of the randomized sketch: Phi ~ U diag(S_hat) U'."""
 
-    U: np.ndarray = field(repr=False)  # N x K, orthonormal columns
+    U: np.ndarray = field(repr=False)  # N x K, orthonormal where S_hat > 0, else zero
     S_hat: np.ndarray = field(repr=False)  # K nonneg eigenvalues, nonincreasing
     s_K: float  # smallest sketched eigenvalue
     shift: float  # stabilization shift actually used
@@ -69,6 +74,18 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     factorization fails the shift escalates (x10, at most 5 attempts,
     seeded from eps * ||Y||_F / sqrt(N) as a fallback scale) before giving
     up, which signals a non-PSD operator.
+
+    With C the Cholesky factor, B = Y_nu C^-T is formed explicitly and its
+    singular pairs come from eigh(B'B) = V Sigma^2 V' as U = B V Sigma^-1:
+    a K x K eigensolve in place of an N x K SVD.  Squaring B's condition
+    number leaves eigenvalues below about eps * S_hat[0] with absolute
+    accuracy only, far below the solvers' default shift
+    mu = mu_floor * S_hat[0].  Forming B matters: the eigenvalues of
+    C^-1 Y_nu'Y_nu C^-T skip the triangular solve, but on an exactly
+    rank-deficient operator they left spurious S_hat of ~0.02 where B gives
+    ~1e-16.  Directions with sigma^2 <= nu get S_hat = 0 and a zero column
+    in U (nothing is divided by their sigma); s_K is then 0, so they carry
+    coefficient 0 in every power of the preconditioner.
     """
     n = phi.domain_dim
     if not 1 <= K <= n:
@@ -91,8 +108,13 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
                 nu *= 10.0
             continue
         b = solve_triangular(chol, y_nu.T, lower=True).T
-        u, s, _ = np.linalg.svd(b, full_matrices=False)
-        s_hat = np.maximum(s * s - nu, 0.0)
+        sigma_sq, v = np.linalg.eigh(b.T @ b)
+        sigma_sq, v = sigma_sq[::-1], v[:, ::-1]
+        r = int(np.count_nonzero(sigma_sq > nu))
+        u = b @ v
+        u[:, :r] /= np.sqrt(sigma_sq[:r])
+        u[:, r:] = 0.0
+        s_hat = np.maximum(sigma_sq - nu, 0.0)
         return NystromFactor(u, s_hat, float(s_hat[-1]), nu, rng.seed)
     raise np.linalg.LinAlgError(
         "Cholesky failed after shift escalation; operator is not PSD")

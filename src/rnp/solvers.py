@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ImageGrid, Rng, psnr
-from .krylov import cg, pcg
+from .krylov import cg, pcg  # noqa: F401  (unused; bench/spans.py wraps rnp.solvers.cg)
 from .linops import (DiagonalWeight, GroupStructure, LinearOperator, compose,
                      gram_operator, transpose)
 from .prox import (BoxConstraint, SoftThresholdProx, weighted_op_norm_sq,
@@ -221,7 +221,10 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
 
     A fresh sketch of the weighted normal operator is drawn every outer
     iteration (the weights change), seeded from a per-iteration child
-    stream so reruns reproduce the trace exactly.
+    stream so reruns reproduce the trace exactly.  The sketch is drawn only
+    when PCG will iterate: once the warm start already meets ``inner_tol``
+    the solve returns it unchanged whatever the preconditioner, so that
+    iteration records ``sketch_s = 0``.
 
     When no ``x0`` is given, iteration 1 runs with unit weights (the
     p=q=2 subproblem) and only later iterations reweight.  For p < 1 the
@@ -248,16 +251,17 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
         phi = gram_operator(A, wf, L, wg, cfg.lam)
         rhs = A.adjoint(wf.values * y)
         sketch_s = 0.0
-        if cfg.sketch_size > 0:
+
+        def sketch_pinv():
+            nonlocal sketch_s
             t0 = time.perf_counter()
             factor = nystrom_approx(phi, min(cfg.sketch_size, A.domain_dim), rng.spawn(k))
             sketch_s = time.perf_counter() - t0
             mu = cfg.mu_floor * factor.S_hat[0] if factor.S_hat[0] > 0 else 1e-12
-            pre = build_preconditioner(factor, mu, cfg.sqrt_tail)
-            report = pcg(phi, rhs, pre.apply_Pinv, tol=cfg.inner_tol,
-                         maxiter=cfg.inner_max, x0=x)
-        else:
-            report = cg(phi, rhs, tol=cfg.inner_tol, maxiter=cfg.inner_max, x0=x)
+            return build_preconditioner(factor, mu, cfg.sqrt_tail).apply_Pinv
+
+        report = pcg(phi, rhs, None, tol=cfg.inner_tol, maxiter=cfg.inner_max, x0=x,
+                     build_pinv=sketch_pinv if cfg.sketch_size > 0 else None)
         x_new = report.solution
         cost = irm_cost(x_new, v, z, A, L, structure, y, cfg.lam, cfg.p, cfg.q)
         if not np.isfinite(cost):

@@ -7,7 +7,7 @@ import pytest
 
 from rnp.cli import main
 from rnp.core import ImageGrid, Rng, psnr
-from rnp.problems import make_deblur, make_sr
+from rnp.problems import make_ct, make_deblur, make_sr
 
 
 def run_cli(args, monkeypatch=None, env=None):
@@ -138,3 +138,17 @@ class TestDefaultLambda:
         for row in rows:
             assert row["status"] == "ok"
             assert float(row["final_psnr"]) > input_psnr
+
+    @pytest.mark.parametrize("reg", ["tv", "wavelet"])
+    def test_default_ct_run_beats_zero_image(self, tmp_path, reg):
+        code = main(["ct", "--reg", reg, "--n", "32", "--seed", "1", "--max-iter", "10",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        truth = make_ct(32, 60, reg, 0.01, Rng(1)).ground_truth
+        zero_psnr = psnr(ImageGrid(32, 32, np.zeros(32 * 32)), truth)
+        with open(tmp_path / f"ct_{reg}_n32" / "summary.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert {int(r["K"]) for r in rows} == {0, 20}
+        for row in rows:
+            assert row["status"] == "ok"
+            assert float(row["final_psnr"]) > zero_psnr

@@ -85,6 +85,25 @@ class TestPcg:
         assert plain.iterations == pre.iterations
         assert np.array_equal(plain.solution, pre.solution)
 
+    def test_preconditioner_built_only_when_iterating(self):
+        spd = random_spd(8, seed=15)
+        b = Rng(16).normal(8)
+        exact = np.linalg.solve(spd, b)
+        built = []
+
+        def build():
+            built.append(1)
+            return lambda r: r
+
+        rep = pcg(matrix_operator(spd), b, None, tol=1e-8, x0=exact, build_pinv=build)
+        assert rep.iterations == 0 and not built
+        lazy = pcg(matrix_operator(spd), b, None, tol=1e-9, maxiter=60, build_pinv=build)
+        eager = pcg(matrix_operator(spd), b, lambda r: r, tol=1e-9, maxiter=60)
+        assert len(built) == 1
+        assert np.array_equal(lazy.solution, eager.solution)
+        with pytest.raises(ValueError):
+            pcg(matrix_operator(spd), b, lambda r: r, build_pinv=build)
+
     def test_perfect_preconditioner_converges_fast(self):
         spd = random_spd(10, seed=12, shift=0.5)
         inv = np.linalg.inv(spd)

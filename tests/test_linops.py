@@ -33,6 +33,23 @@ class TestBlur:
         with pytest.raises(ValueError):
             blur_operator(np.ones((2, 2)) / 4, 8, 8)
 
+    def test_matches_dense_circular_convolution_on_odd_nonsquare_image(self):
+        rows, cols = 15, 17
+        kernel = Rng(6).uniform(15).reshape(5, 3)  # asymmetric, so orientation shows
+        kr, kc = kernel.shape
+        eye = np.eye(rows * cols)
+        dense = np.zeros((rows * cols, rows * cols))
+        for p in range(rows * cols):
+            im = eye[p].reshape(rows, cols, order="F")
+            out = sum(kernel[a, b] * np.roll(im, (a - kr // 2, b - kc // 2), axis=(0, 1))
+                      for a in range(kr) for b in range(kc))
+            dense[:, p] = out.ravel(order="F")
+        op = blur_operator(kernel, rows, cols)
+        applied = np.column_stack([op.apply(e) for e in eye])
+        adjoint = np.column_stack([op.adjoint(e) for e in eye])
+        assert np.abs(applied - dense).max() <= 1e-12
+        assert np.abs(adjoint - dense.T).max() <= 1e-12
+
 
 class TestDownsample:
     def test_identity_blur_factor_one(self):

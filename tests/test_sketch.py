@@ -75,6 +75,28 @@ class TestNystromApprox:
             gaps.append(e1 - e2)
         assert np.median(gaps) >= -1e-12
 
+    def test_steep_spectrum_factor_and_inverse_pair(self):
+        # eigenvalues from 1 down to e^-30: the K=30 sketched ones fall to ~4e-7
+        # of the largest, where squaring B's condition number in eigh(B'B)
+        # would first cost accuracy
+        for seed in range(10):
+            phi = random_psd(60, np.exp(np.linspace(0.0, -30.0, 60)), seed=200 + seed)
+            factor = nystrom_approx(matrix_operator(phi), 30, Rng(seed))
+            oracle = nystrom_oracle_dense(phi, standard_normal_matrix(60, 30, Rng(seed)))
+            err = np.linalg.norm(low_rank_reconstruction(factor) - oracle) / np.linalg.norm(oracle)
+            assert err <= 1e-6
+            u = factor.U[:, factor.S_hat > 0]
+            assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-10
+            for mu in (1e-6 * factor.S_hat[0], 1e-3):
+                pre = build_preconditioner(factor, mu)
+                # P^-1 (P v) loses about kappa(P) * eps relative accuracy; allow
+                # 500 eps of slack per unit of kappa(P)
+                kappa = (factor.S_hat[0] + mu) / (factor.s_K + mu)
+                tol = 500 * np.finfo(float).eps * kappa
+                for v in standard_normal_matrix(60, 5, Rng(300 + seed)).T:
+                    back = pre.apply_Pinv(pre.apply_P(v))
+                    assert np.linalg.norm(back - v) <= tol * np.linalg.norm(v)
+
     def test_non_psd_raises_after_escalation(self):
         bad = matrix_operator(np.diag([1.0, -5.0, 2.0]))
         with pytest.raises(np.linalg.LinAlgError):

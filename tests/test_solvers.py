@@ -197,6 +197,25 @@ class TestIrmSolve:
         assert np.array_equal(t1.costs, t2.costs)
         assert np.array_equal(t1.inner_iters, t2.inner_iters)
 
+    def test_sketch_drawn_only_when_pcg_iterates(self, monkeypatch):
+        import rnp.solvers as solvers
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return nystrom_approx(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "nystrom_approx", counting)
+        prob = make_deblur("gauss9", 32, 0.05, Rng(0))
+        cfg = IrmConfig(p=1.0, q=1.0, lam=0.05, sketch_size=16)
+        _, trace = irm_solve(prob, cfg, Rng(3))
+        iterated = [r for r in trace.records if r.inner_iters > 0]
+        skipped = [r for r in trace.records if r.inner_iters == 0]
+        assert skipped  # the warm start met inner_tol at least once
+        assert len(calls) == len(iterated)
+        assert all(r.sketch_s == 0.0 for r in skipped)
+        assert all(r.sketch_s > 0.0 for r in iterated)
+
     def test_overflowing_rhs_raises_value_error(self):
         n = 8
         y = np.full(n, 1e200)
