@@ -91,21 +91,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load --config values as defaults on the active subcommand's parser;
-    explicit flags still win because they are parsed afterwards."""
+    """Expand --config into ``--key=value`` tokens placed right after the
+    subcommand, so explicit flags, which come later, still win."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return argv
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
-    sub = subparsers.choices.get(command)
-    if sub is None:
-        return argv  # let argparse report the bad subcommand
-    actions = {opt.lstrip("-").replace("-", "_"): a for a in sub._actions
-               for opt in a.option_strings if opt.startswith("--")}
+    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), None)
+    if at is None:
+        return argv  # let argparse report the missing subcommand
+    tokens, origin = [], {}
     with open(known.config, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -114,11 +110,16 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             if "=" not in line:
                 raise SystemExit(f"{known.config}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            action = actions.get(key.replace("-", "_"))
-            if action is None:
-                raise SystemExit(f"{known.config}:{lineno}: unknown key {key!r}")
-            sub.set_defaults(**{action.dest: action.type(value) if action.type else value})
-    return argv
+            token = f"--{key.replace('_', '-')}={value}"
+            tokens.append(token)
+            origin[token] = f"{known.config}:{lineno}: unknown key {key!r}"
+    # a first parse with only the file's tokens after the subcommand names
+    # the line of a key the subcommand does not take
+    _, unknown = parser.parse_known_args(argv[:at + 1] + tokens)
+    bad = [origin[tok] for tok in unknown if tok in origin]
+    if bad:
+        raise SystemExit(bad[0])
+    return argv[:at + 1] + tokens + argv[at + 1:]
 
 
 def _default_k(command: str, args) -> tuple[int, ...]:

@@ -261,35 +261,30 @@ _DB4_LO = np.array([1.0 + _DB4_SQRT3, 3.0 + _DB4_SQRT3, 3.0 - _DB4_SQRT3, 1.0 - 
 _DB4_HI = np.array([_DB4_LO[3], -_DB4_LO[2], _DB4_LO[1], -_DB4_LO[0]])
 
 
-def _dwt_axis(block: np.ndarray, axis: int) -> np.ndarray:
-    n = block.shape[axis]
+def _db4_bank(n: int) -> sparse.csr_matrix:
+    """One periodic DB4 analysis level on a length-n signal as an n x n CSR
+    matrix: row i < n/2 holds the lowpass taps and row n/2 + i the highpass
+    taps, at columns (2i + m) % n.  Each row keeps its taps in order
+    m = 0..3 (so the wrap rows are unsorted), which makes a product sum the
+    same terms in the same order as the tap-by-tap loop."""
     half = n // 2
-    x = np.moveaxis(block, axis, 0)
-    out = np.zeros_like(x)
-    base = 2 * np.arange(half)
-    for m in range(4):
-        rows = (base + m) % n
-        out[:half] += _DB4_LO[m] * x[rows]
-        out[half:] += _DB4_HI[m] * x[rows]
-    return np.moveaxis(out, 0, axis)
-
-
-def _idwt_axis(block: np.ndarray, axis: int) -> np.ndarray:
-    n = block.shape[axis]
-    half = n // 2
-    x = np.moveaxis(block, axis, 0)
-    out = np.zeros_like(x)
-    base = 2 * np.arange(half)
-    for m in range(4):
-        rows = (base + m) % n
-        np.add.at(out, rows, _DB4_LO[m] * x[:half] + _DB4_HI[m] * x[half:])
-    return np.moveaxis(out, 0, axis)
+    cols = (2 * np.arange(half)[:, None] + np.arange(4)) % n
+    data = np.concatenate([np.tile(_DB4_LO, half), np.tile(_DB4_HI, half)])
+    bank = sparse.csr_matrix((data, np.concatenate([cols, cols]).ravel(),
+                              np.arange(0, 4 * n + 1, 4)), shape=(n, n))
+    bank.has_sorted_indices = False
+    return bank
 
 
 def wavelet_operator(rows: int, cols: int, levels: int) -> LinearOperator:
     """Orthonormal separable 2-D Daubechies-4 transform, periodic boundary.
 
-    The adjoint inverts the transform exactly (the map is orthogonal).
+    Level k filters the top-left (rows >> k) x (cols >> k) block along the
+    rows, then along the columns.  Each level and axis is a sparse analysis
+    bank built once here (see ``_db4_bank``), so one level is
+    ``block = (Fc @ (Fr @ block).T).T``.  The adjoint applies the cached
+    CSR transposes of the same banks, deepest level first; it inverts the
+    transform exactly (the map is orthogonal).
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -298,21 +293,20 @@ def wavelet_operator(rows: int, cols: int, levels: int) -> LinearOperator:
     if min(rows, cols) >> (levels - 1) < 4:
         raise ValueError("deepest level would transform a signal shorter than the filter")
     n = rows * cols
+    banks = [(rows >> k, cols >> k, _db4_bank(rows >> k), _db4_bank(cols >> k))
+             for k in range(levels)]
+    banks_t = [(r, c, fr.T.tocsr(), fc.T.tocsr()) for r, c, fr, fc in reversed(banks)]
 
     def apply(x):
         im = _as_image(x, rows, cols).copy()
-        r, c = rows, cols
-        for _ in range(levels):
-            im[:r, :c] = _dwt_axis(_dwt_axis(im[:r, :c], 0), 1)
-            r //= 2
-            c //= 2
+        for r, c, fr, fc in banks:
+            im[:r, :c] = (fc @ (fr @ im[:r, :c]).T).T
         return im.ravel(order="F")
 
     def adjoint(w):
         im = _as_image(w, rows, cols).copy()
-        sizes = [(rows >> k, cols >> k) for k in range(levels)]
-        for r, c in reversed(sizes):
-            im[:r, :c] = _idwt_axis(_idwt_axis(im[:r, :c], 1), 0)
+        for r, c, fr_t, fc_t in banks_t:
+            im[:r, :c] = fr_t @ (fc_t @ im[:r, :c].T).T
         return im.ravel(order="F")
 
     return LinearOperator(n, n, apply, adjoint)

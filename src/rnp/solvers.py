@@ -380,16 +380,25 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
         u = x_next + ((t_prev - 1.0) / t_next) * (x_next - x)
         x, t_prev = x_next, t_next
+        img = _wapg_image(problem, cfg, x)
         trace.append(iter=k, elapsed_s=time.perf_counter() - start,
-                     cost=wapg_cost(problem, cfg, x), psnr=_wapg_psnr(problem, cfg, x),
+                     cost=wapg_cost(problem, cfg, x, img), psnr=_problem_psnr(problem, img),
                      inner_iters=inner, sketch_s=sketch_seconds if k == 1 else 0.0)
-    return (problem.L.adjoint(x) if separable else x), trace
+    if cfg.outer_max < 1:
+        img = _wapg_image(problem, cfg, x)
+    return img, trace
 
 
-def wapg_cost(problem, cfg: WapgConfig, x: np.ndarray) -> float:
-    """0.5 ||A x - y||^2 + lam * g(x) in the domain the solver iterates in."""
-    fwd = _effective_forward(problem, cfg)
-    res = fwd.apply(x) - problem.y
+def wapg_cost(problem, cfg: WapgConfig, x: np.ndarray,
+              img: Optional[np.ndarray] = None) -> float:
+    """0.5 ||A x - y||^2 + lam * g(x) in the domain the solver iterates in.
+
+    ``img`` is the image of ``x`` (see ``_wapg_image``); a caller that
+    already has it passes it so the synthesis is not repeated.
+    """
+    if img is None:
+        img = _wapg_image(problem, cfg, x)
+    res = problem.A.apply(img) - problem.y
     data = 0.5 * float(np.dot(res, res))
     if cfg.prox_mode == "separable":
         return data + cfg.lam * float(np.sum(np.abs(x)))
@@ -397,6 +406,6 @@ def wapg_cost(problem, cfg: WapgConfig, x: np.ndarray) -> float:
                                              problem.structure)
 
 
-def _wapg_psnr(problem, cfg: WapgConfig, x: np.ndarray) -> float:
-    img = problem.L.adjoint(x) if cfg.prox_mode == "separable" else x
-    return _problem_psnr(problem, img)
+def _wapg_image(problem, cfg: WapgConfig, x: np.ndarray) -> np.ndarray:
+    """The image an iterate stands for: L'x in separable mode, else x."""
+    return problem.L.adjoint(x) if cfg.prox_mode == "separable" else x

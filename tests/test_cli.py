@@ -139,7 +139,7 @@ class TestDefaultLambda:
             assert row["status"] == "ok"
             assert float(row["final_psnr"]) > input_psnr
 
-    @pytest.mark.parametrize("reg", ["tv", "wavelet"])
+    @pytest.mark.parametrize("reg", ["tv", "wavelet", "hs"])
     def test_default_ct_run_beats_zero_image(self, tmp_path, reg):
         code = main(["ct", "--reg", reg, "--n", "32", "--seed", "1", "--max-iter", "10",
                      "--out", str(tmp_path)])
@@ -148,7 +148,7 @@ class TestDefaultLambda:
         zero_psnr = psnr(ImageGrid(32, 32, np.zeros(32 * 32)), truth)
         with open(tmp_path / f"ct_{reg}_n32" / "summary.csv", newline="") as f:
             rows = list(csv.DictReader(f))
-        assert {int(r["K"]) for r in rows} == {0, 20}
+        assert {int(r["K"]) for r in rows} == {0, 100 if reg == "hs" else 20}
         for row in rows:
             assert row["status"] == "ok"
             assert float(row["final_psnr"]) > zero_psnr

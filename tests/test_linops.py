@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnp.core import ImageGrid, Rng
 from rnp.linops import (DiagonalWeight, adjoint_defect, blur_operator, compose,
@@ -116,7 +118,69 @@ class TestHessian:
         assert np.array_equal(structure.component_weights, [1.0, 1.0, 2.0])
 
 
+def _db4_axis_reference(block, axis, adjoint):
+    """Tap-by-tap periodic DB4 level along one axis (fancy-indexed gathers
+    for the analysis, scatter-adds for the synthesis)."""
+    s3 = np.sqrt(3.0)
+    lo = np.array([1.0 + s3, 3.0 + s3, 3.0 - s3, 1.0 - s3]) / (4.0 * np.sqrt(2.0))
+    hi = np.array([lo[3], -lo[2], lo[1], -lo[0]])
+    n = block.shape[axis]
+    half = n // 2
+    x = np.moveaxis(block, axis, 0)
+    out = np.zeros_like(x)
+    base = 2 * np.arange(half)
+    for m in range(4):
+        idx = (base + m) % n
+        if adjoint:
+            np.add.at(out, idx, lo[m] * x[:half] + hi[m] * x[half:])
+        else:
+            out[:half] += lo[m] * x[idx]
+            out[half:] += hi[m] * x[idx]
+    return np.moveaxis(out, 0, axis)
+
+
+def _wavelet_reference(v, rows, cols, levels, adjoint=False):
+    im = v.reshape(rows, cols, order="F").copy()
+    sizes = [(rows >> k, cols >> k) for k in range(levels)]
+    axes = (1, 0) if adjoint else (0, 1)
+    for r, c in (reversed(sizes) if adjoint else sizes):
+        for axis in axes:
+            im[:r, :c] = _db4_axis_reference(im[:r, :c], axis, adjoint)
+    return im.ravel(order="F")
+
+
 class TestWavelet:
+    @pytest.mark.parametrize("rows,cols,levels", [(32, 64, 3), (48, 16, 2)])
+    def test_matches_tap_loop_reference_on_nonsquare_images(self, rows, cols, levels):
+        op = wavelet_operator(rows, cols, levels)
+        rng = Rng(21)
+        for _ in range(3):
+            x = rng.normal(rows * cols)
+            assert np.array_equal(op.apply(x), _wavelet_reference(x, rows, cols, levels))
+            ref = _wavelet_reference(x, rows, cols, levels, adjoint=True)
+            assert np.abs(op.adjoint(x) - ref).max() <= 1e-14
+
+    def test_dense_matrix_is_orthogonal_on_nonsquare_image(self):
+        dense = to_dense(wavelet_operator(16, 32, 2))
+        assert np.abs(dense.T @ dense - np.eye(16 * 32)).max() <= 1e-13
+        assert np.abs(dense @ dense.T - np.eye(16 * 32)).max() <= 1e-13
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(levels=st.integers(1, 3), row_blocks=st.integers(2, 6),
+           col_blocks=st.integers(2, 6), seed=st.integers(0, 2**31))
+    def test_orthogonality_properties_on_random_shapes(self, levels, row_blocks,
+                                                       col_blocks, seed):
+        # side = blocks * 2**levels, so the deepest level sees >= 4 samples
+        rows, cols = row_blocks << levels, col_blocks << levels
+        op = wavelet_operator(rows, cols, levels)
+        rng = Rng(seed)
+        assert adjoint_defect(op, rng, trials=3) <= 1e-12
+        x = rng.normal(rows * cols)
+        w = op.apply(x)
+        assert np.abs(op.adjoint(w) - x).max() <= 1e-12
+        assert np.abs(op.apply(op.adjoint(x)) - x).max() <= 1e-12
+        assert abs(np.linalg.norm(w) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
+
     def test_perfect_reconstruction(self):
         op = wavelet_operator(16, 16, 2)
         x = Rng(7).normal(256)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -8,7 +9,8 @@ from rnp.core import ImageGrid, Rng, standard_normal_matrix
 from rnp.linops import (GroupStructure, LinearOperator, identity_operator,
                         matrix_operator)
 from rnp.problems import make_deblur, phantom
-from rnp.prox import BoxConstraint, weighted_op_norm_sq, wpm_mixed_dual
+from rnp.prox import (BoxConstraint, weighted_op_norm_sq, wpm_mixed_dual,
+                      wpm_structured)
 from rnp.sketch import build_preconditioner, nystrom_approx
 from rnp.solvers import (IrmConfig, WapgConfig, default_eps_smooth,
                          estimate_lipschitz_pnorm, half_quadratic_constants,
@@ -334,6 +336,44 @@ class TestWapg:
         assert iters == list(range(1, 11))
         elapsed = [r.elapsed_s for r in trace.records]
         assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
+
+
+class TestWapgSeparableApplies:
+    def test_one_synthesis_per_outer_iteration(self, monkeypatch):
+        import rnp.solvers as solvers
+        from rnp.problems import make_ct
+        from rnp.solvers import build_wapg_preconditioner, wapg_cost
+        iterates = []
+
+        def recording(*args, **kwargs):
+            result = wpm_structured(*args, **kwargs)
+            iterates.append(result[0])
+            return result
+
+        monkeypatch.setattr(solvers, "wpm_structured", recording)
+        prob = make_ct(32, 20, "wavelet", 0.01, Rng(40))
+        calls = []
+        L = prob.L
+        counted = LinearOperator(L.domain_dim, L.range_dim,
+                                 lambda x: calls.append(1) or L.apply(x),
+                                 lambda w: calls.append(1) or L.adjoint(w))
+        prob = dataclasses.replace(prob, L=counted)
+        calls.clear()  # the instance checks its adjoints when it is built
+        K, power_iters, outer = 8, 5, 4
+        cfg = WapgConfig(lam=0.02, sketch_size=K, power_iters=power_iters,
+                         outer_max=outer, prox_mode="separable")
+        rng = Rng(41)
+        pre, _ = build_wapg_preconditioner(prob, cfg, rng.spawn(0))
+        img, trace = wapg_solve(prob, cfg, pre, rng.spawn(1))
+        # each apply of the transformed forward map A L' and of its adjoint
+        # L A' calls L once: the sketch applies (L A')(A L') to K columns,
+        # the power iteration makes power_iters such applies, and an outer
+        # iteration takes the gradient (2 calls) and synthesises L'x once for
+        # its cost, its PSNR and, after the last one, the returned image
+        assert len(calls) == 2 * K + 2 * power_iters + 3 * outer
+        # the last prox output is the final transform-domain iterate
+        assert trace.costs[-1] == wapg_cost(prob, cfg, iterates[-1])
+        assert np.array_equal(img, L.adjoint(iterates[-1]))
 
 
 class TestCostClosedForms:
