@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Rng
+from .linops import apply_on_one_core
 from .problems import ProblemInstance, make_ct, make_deblur, make_sr
 from .prox import BoxConstraint
 from .solvers import (IrmConfig, SolverTrace, WapgConfig,
@@ -149,7 +150,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
     combos = [(lam, K, seed) for lam in spec.lam_grid
               for K in spec.sketch_sizes for seed in spec.seeds]
     if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=spec.jobs, initializer=apply_on_one_core) as pool:
             results = list(pool.map(_run_one, *zip(*[(spec, lam, K, seed)
                                                      for lam, K, seed in combos])))
     else:

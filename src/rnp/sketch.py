@@ -67,9 +67,11 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
                    eps: float = MACHINE_EPS) -> NystromFactor:
     """Randomized low-rank factorization of a symmetric PSD operator.
 
-    Draws a Gaussian test matrix up front and applies ``phi`` column by
-    column in a fixed order, so the result is bit-identical for a fixed
-    seed no matter how the applications are scheduled.  The Gram matrix is
+    Draws a Gaussian test matrix up front and applies ``phi`` to it in one
+    block call (``phi.apply_block``), which loops over the columns unless
+    ``phi`` declares a native block map; either way each column equals the
+    single-vector apply bit for bit, so the result is bit-identical for a
+    fixed seed however the applications are scheduled.  The Gram matrix is
     shifted by nu = eps * ||Omega||_F before the Cholesky step; if that
     factorization fails the shift escalates (x10, at most 5 attempts,
     seeded from eps * ||Y||_F / sqrt(N) as a fallback scale) before giving
@@ -91,9 +93,8 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     if not 1 <= K <= n:
         raise ValueError(f"sketch size {K} out of range [1, {n}]")
     omega = standard_normal_matrix(n, K, rng)
-    y = np.empty((n, K))
-    for j in range(K):
-        y[:, j] = phi.apply(omega[:, j])
+    # C order, as the column loop fills it: the reductions below sum in memory order
+    y = np.ascontiguousarray(phi.apply_block(omega))
     nu = eps * float(np.linalg.norm(omega))
     for attempt in range(5):
         y_nu = y + nu * omega

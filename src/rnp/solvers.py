@@ -14,7 +14,7 @@ import numpy as np
 from .core import ImageGrid, Rng, psnr
 from .krylov import cg, pcg  # noqa: F401  (unused; bench/spans.py wraps rnp.solvers.cg)
 from .linops import (DiagonalWeight, GroupStructure, LinearOperator, compose,
-                     gram_operator, transpose)
+                     gram_operator, operator_norm_sq, transpose)
 from .prox import (BoxConstraint, SoftThresholdProx, weighted_op_norm_sq,
                    mixed_norm_value, wpm_mixed_dual, wpm_structured)
 from .sketch import Preconditioner, build_preconditioner, nystrom_approx
@@ -284,26 +284,12 @@ def _problem_psnr(problem, x: np.ndarray) -> float:
 
 def estimate_lipschitz_pnorm(A: LinearOperator, pre: Optional[Preconditioner],
                              iters: int, rng: Rng) -> float:
-    """Power-iteration estimate of lambda_max(P^-1/2 A'A P^-1/2)."""
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-
-    def op(v):
-        w = pre.apply_Pinvhalf(v) if pre is not None else v
-        w = A.adjoint(A.apply(w))
-        return pre.apply_Pinvhalf(w) if pre is not None else w
-
-    v = rng.normal(A.domain_dim)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = op(v)
-        est = float(np.dot(v, w))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return est
+    """Power-iteration estimate of lambda_max(P^-1/2 A'A P^-1/2), i.e. of
+    ||A P^-1/2||^2 (``operator_norm_sq``)."""
+    if pre is not None:
+        n = A.domain_dim
+        A = compose(A, LinearOperator(n, n, pre.apply_Pinvhalf, pre.apply_Pinvhalf))
+    return operator_norm_sq(A, iters, rng)
 
 
 def _effective_forward(problem, cfg: WapgConfig) -> LinearOperator:
@@ -318,17 +304,17 @@ def build_wapg_preconditioner(problem, cfg: WapgConfig,
                               rng: Rng) -> tuple[Optional[Preconditioner], float]:
     """One up-front sketch of the (possibly transformed) normal operator.
 
-    Returns (preconditioner, sketch seconds); (None, 0.0) when the sketch
-    size is zero.
+    The normal operator is a composition, so the sketch's whole test matrix
+    goes through the forward map's block applies in one call.  Returns
+    (preconditioner, sketch seconds); (None, 0.0) when the sketch size is
+    zero.
     """
     if cfg.sketch_size <= 0:
         return None, 0.0
     fwd = _effective_forward(problem, cfg)
-    normal = LinearOperator(fwd.domain_dim, fwd.domain_dim,
-                            lambda x: fwd.adjoint(fwd.apply(x)),
-                            lambda x: fwd.adjoint(fwd.apply(x)))
     t0 = time.perf_counter()
-    factor = nystrom_approx(normal, min(cfg.sketch_size, fwd.domain_dim), rng)
+    factor = nystrom_approx(compose(transpose(fwd), fwd),
+                            min(cfg.sketch_size, fwd.domain_dim), rng)
     sketch_s = time.perf_counter() - t0
     mu = cfg.mu if cfg.mu is not None else (
         cfg.mu_floor * factor.S_hat[0] if factor.S_hat[0] > 0 else 1e-12)

@@ -1,4 +1,9 @@
 import csv
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +110,62 @@ class TestRunExperiment:
         for a, b in zip(serial, parallel):
             assert a.final_cost == b.final_cost
             assert a.best_psnr == b.best_psnr
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="radon splits need 2 usable cores")
+    def test_forked_workers_after_a_split_apply_finish_and_match(self, tmp_path):
+        # A split apply starts the shared pool's threads; forked children get
+        # the pool object without its threads.  Run in a subprocess so that a
+        # hang fails the test instead of stalling the suite.
+        script = textwrap.dedent(f"""
+            import multiprocessing
+            import numpy as np
+            from rnp import linops
+            from rnp.core import Rng
+            from rnp.harness import ExperimentSpec, run_experiment
+            from rnp.problems import make_ct
+
+            def child_apply(op, x, conn):
+                conn.send(op.apply(x))
+                conn.close()
+
+            if __name__ == "__main__":
+                prob = make_ct(128, 60, "wavelet", 0.01, Rng(0))
+                x = Rng(1).normal(128 * 128)
+                parent = prob.A.apply(x)
+                assert linops._pool is not None
+                ctx = multiprocessing.get_context("fork")
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=child_apply, args=(prob.A, x, send))
+                proc.start()
+                child = recv.recv()
+                proc.join()
+                assert np.array_equal(child, parent)
+                spec = dict(task="ct", solver="wapg", out_dir={str(tmp_path)!r}, n=128,
+                            views=60, regularizer="wavelet", sketch_sizes=(0, 8),
+                            lam_grid=(0.02,), seeds=(1,), outer_max=3)
+                serial = run_experiment(ExperimentSpec(name="serial", **spec))
+                parallel = run_experiment(ExperimentSpec(name="parallel", jobs=2, **spec))
+                for a, b in zip(serial, parallel):
+                    assert a.status == b.status == "ok", (a.status, b.status)
+                    assert a.final_cost == b.final_cost and a.best_psnr == b.best_psnr
+                print("done")
+            """)
+        path = tmp_path / "fork_after_split.py"
+        path.write_text(script)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        # its own session, so a timeout kills the forked children as well
+        proc = subprocess.Popen([sys.executable, str(path)], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=90)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("forked workers hung after a split radon apply")
+        assert proc.returncode == 0, err
+        assert out.strip() == "done"
 
     def test_spec_validation(self, tmp_path):
         with pytest.raises(ValueError):

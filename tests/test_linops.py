@@ -1,11 +1,16 @@
+import sys
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnp import linops
 from rnp.core import ImageGrid, Rng
-from rnp.linops import (DiagonalWeight, adjoint_defect, blur_operator, compose,
-                        downsample_operator, grad_operator, gram_operator,
+from rnp.linops import (DiagonalWeight, LinearOperator, adjoint_defect, blur_operator,
+                        compose, downsample_operator, grad_operator, gram_operator,
                         hessian_operator, identity_operator, matrix_operator,
                         operator_norm_sq, radon_operator, to_dense, transpose,
                         wavelet_operator)
@@ -232,6 +237,111 @@ class TestRadon:
         op = radon_operator(32, 20, 45)
         assert adjoint_defect(op, Rng(8)) < 1e-8
 
+    @pytest.mark.parametrize("n", [96, 128])
+    def test_split_products_equal_one_csr_product_bitwise(self, n, monkeypatch):
+        bins = 2 * n - 1
+        monkeypatch.setattr(linops, "_usable_cores", lambda: 1)
+        whole = radon_operator(n, 60, bins)
+        monkeypatch.setattr(linops, "_usable_cores", lambda: 4)
+        pool = CountingPool()
+        monkeypatch.setattr(linops, "_shared_pool", lambda: pool)
+        split = radon_operator(n, 60, bins)
+        rng = Rng(n)
+        xs = rng.normal(n * n * 20).reshape(n * n, 20)
+        ys = rng.normal(60 * bins * 20).reshape(60 * bins, 20)
+        for j in (0, 7, 19):
+            assert np.array_equal(split.apply(xs[:, j]), whole.apply(xs[:, j]))
+            assert np.array_equal(split.adjoint(ys[:, j]), whole.adjoint(ys[:, j]))
+        assert pool.submits > 0
+        block, block_t = split.apply_block(xs), split.adjoint_block(ys)
+        for j in range(20):
+            assert np.array_equal(block[:, j], whole.apply(xs[:, j]))
+            assert np.array_equal(block_t[:, j], whole.adjoint(ys[:, j]))
+        assert np.array_equal(block, whole.apply_block(xs))
+        assert np.array_equal(block_t, whole.adjoint_block(ys))
+
+    def test_block_count_follows_nonzeros_and_cores(self, monkeypatch):
+        monkeypatch.setattr(linops, "_usable_cores", lambda: 4)
+        pool = CountingPool()
+        monkeypatch.setattr(linops, "_shared_pool", lambda: pool)
+        small = radon_operator(64, 60, 91)  # 0.44 M nonzeros: one block
+        small.apply(np.ones(64 * 64))
+        small.adjoint_block(np.ones((60 * 91, 3)))
+        assert pool.submits == 0
+        large = radon_operator(128, 60, 181)  # 1.77 M nonzeros: one block per core
+        large.apply(np.ones(128 * 128))
+        assert pool.submits == 3
+        monkeypatch.setattr(linops, "_usable_cores", lambda: 1)
+        radon_operator(128, 60, 181).apply(np.ones(128 * 128))
+        assert pool.submits == 3
+
+    def test_apply_on_one_core_builds_later_operators_unsplit(self, monkeypatch):
+        monkeypatch.setattr(linops, "_one_core", False)
+        pool = CountingPool()
+        monkeypatch.setattr(linops, "_shared_pool", lambda: pool)
+        linops.apply_on_one_core()
+        assert linops._usable_cores() == 1
+        radon_operator(128, 60, 181).apply(np.ones(128 * 128))
+        assert pool.submits == 0
+
+    def test_concurrent_applies_create_one_pool_and_agree(self, monkeypatch):
+        created = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(linops, "ThreadPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(linops, "_pool", None)
+        monkeypatch.setattr(linops, "_usable_cores", lambda: 1)
+        whole = radon_operator(96, 60, 137)
+        monkeypatch.setattr(linops, "_usable_cores", lambda: 3)
+        split = radon_operator(96, 60, 137)
+        xs = Rng(16).normal(96 * 96 * 16).reshape(16, 96 * 96)
+        results = [[] for _ in xs]
+
+        def worker(i):
+            for _ in range(5):
+                results[i].append(split.apply(xs[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(xs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in created:
+                pool.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert len(created) == 1
+        for x, outs in zip(xs, results):
+            expected = whole.apply(x)
+            assert len(outs) == 5 and all(np.array_equal(out, expected) for out in outs)
+
+    def test_rejects_wrong_length_when_split(self, monkeypatch):
+        monkeypatch.setattr(linops, "_usable_cores", lambda: 2)
+        op = radon_operator(128, 60, 181)
+        with pytest.raises(ValueError):
+            op.apply(np.ones(100))
+
+
+class CountingPool:
+    """Stands in for the shared pool: runs each task at once and counts it."""
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
 
 class TestGram:
     def test_double_identity(self):
@@ -307,6 +417,38 @@ class TestCombinators:
         t = transpose(ab)
         y = rng.normal(3)
         assert np.allclose(t.apply(y), b.T @ (a.T @ y))
+
+    def test_default_block_maps_equal_the_column_loop(self):
+        rng = Rng(14)
+        blur = blur_operator(gaussian_kernel(5, 1.2), 12, 10)
+        xs = rng.normal(120 * 6).reshape(120, 6)
+        assert blur.block_apply is None and blur.block_adjoint is None
+        expected = np.column_stack([blur.apply(x) for x in xs.T])
+        assert np.array_equal(blur.apply_block(xs), expected)
+        expected_t = np.column_stack([blur.adjoint(x) for x in xs.T])
+        assert np.array_equal(blur.adjoint_block(xs), expected_t)
+
+    def test_compose_and_transpose_use_native_block_maps(self):
+        calls = []
+
+        def native(name, fn):
+            def block(xs):
+                calls.append(name)
+                return np.column_stack([fn(x) for x in np.asarray(xs).T])
+            return block
+
+        mat = Rng(15).normal(12).reshape(3, 4)
+        op = LinearOperator(4, 3, lambda x: mat @ x, lambda y: mat.T @ y,
+                            native("apply", lambda x: mat @ x),
+                            native("adjoint", lambda y: mat.T @ y))
+        xs, ys = np.eye(4)[:, :2], np.eye(3)[:, :2]
+        outer = compose(op, identity_operator(4))
+        assert np.array_equal(outer.apply_block(xs), mat[:, :2])
+        assert np.array_equal(outer.adjoint_block(ys), mat.T[:, :2])
+        t = transpose(op)
+        assert np.array_equal(t.apply_block(ys), mat.T[:, :2])
+        assert np.array_equal(t.adjoint_block(xs), mat[:, :2])
+        assert calls == ["apply", "adjoint", "adjoint", "apply"]
 
     def test_every_operator_passes_randomized_adjoint_suite(self):
         blur = blur_operator(gaussian_kernel(9, 1.6), 16, 16)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from rnp import linops
 from rnp.core import Rng, standard_normal_matrix
-from rnp.linops import LinearOperator, matrix_operator
+from rnp.linops import LinearOperator, compose, matrix_operator, transpose
+from rnp.problems import make_ct
 from rnp.sketch import (NystromFactor, build_preconditioner,
                         effective_dimension, load_factor, nystrom_approx,
                         nystrom_oracle_dense, save_factor, recommended_sketch_size)
@@ -96,6 +98,23 @@ class TestNystromApprox:
                 for v in standard_normal_matrix(60, 5, Rng(300 + seed)).T:
                     back = pre.apply_Pinv(pre.apply_P(v))
                     assert np.linalg.norm(back - v) <= tol * np.linalg.norm(v)
+
+    def test_block_sketch_of_ct_wavelet_normal_operator_equals_column_loop(self, monkeypatch):
+        # a split radon, so the sketch runs the split multi-vector product
+        monkeypatch.setattr(linops, "_MIN_BLOCK_NNZ", 100_000)
+        monkeypatch.setattr(linops, "_usable_cores", lambda: 3)
+        prob = make_ct(64, 60, "wavelet", 0.01, Rng(50))
+        fwd = compose(prob.A, transpose(prob.L))
+        n = fwd.domain_dim
+
+        def normal(x):
+            return fwd.adjoint(fwd.apply(x))
+
+        block = nystrom_approx(compose(transpose(fwd), fwd), 20, Rng(51))
+        looped = nystrom_approx(LinearOperator(n, n, normal, normal), 20, Rng(51))
+        assert np.array_equal(block.U, looped.U)
+        assert np.array_equal(block.S_hat, looped.S_hat)
+        assert block.shift == looped.shift
 
     def test_non_psd_raises_after_escalation(self):
         bad = matrix_operator(np.diag([1.0, -5.0, 2.0]))

@@ -12,10 +12,10 @@ from rnp.problems import make_deblur, phantom
 from rnp.prox import (BoxConstraint, weighted_op_norm_sq, wpm_mixed_dual,
                       wpm_structured)
 from rnp.sketch import build_preconditioner, nystrom_approx
-from rnp.solvers import (IrmConfig, WapgConfig, default_eps_smooth,
-                         estimate_lipschitz_pnorm, half_quadratic_constants,
-                         irm_cost, irm_solve, original_cost, update_weights,
-                         wapg_solve)
+from rnp.solvers import (IrmConfig, WapgConfig, build_wapg_preconditioner,
+                         default_eps_smooth, estimate_lipschitz_pnorm,
+                         half_quadratic_constants, irm_cost, irm_solve,
+                         original_cost, update_weights, wapg_solve)
 
 
 @dataclass(frozen=True)
@@ -236,6 +236,38 @@ class TestLipschitzEstimate:
     def test_diagonal(self):
         op = matrix_operator(np.diag([1.0, 2.0, 3.0]))
         assert estimate_lipschitz_pnorm(op, None, 80, Rng(8)) == pytest.approx(9.0, abs=1e-6)
+
+    def test_equals_its_former_power_loop_bitwise(self):
+        from rnp.linops import compose, transpose
+        from rnp.problems import make_ct
+
+        def former_loop(A, pre, iters, rng):  # estimate_lipschitz_pnorm's own loop, kept as reference
+            def op(v):
+                w = pre.apply_Pinvhalf(v) if pre is not None else v
+                w = A.adjoint(A.apply(w))
+                return pre.apply_Pinvhalf(w) if pre is not None else w
+
+            v = rng.normal(A.domain_dim)
+            v /= np.linalg.norm(v)
+            est = 0.0
+            for _ in range(iters):
+                w = op(v)
+                est = float(np.dot(v, w))
+                nw = np.linalg.norm(w)
+                if nw == 0.0:
+                    return 0.0
+                v = w / nw
+            return est
+
+        prob = make_ct(32, 20, "wavelet", 0.01, Rng(60))
+        fwd = compose(prob.A, transpose(prob.L))
+        pre, _ = build_wapg_preconditioner(prob, WapgConfig(lam=0.02, sketch_size=8,
+                                                            prox_mode="separable"), Rng(61))
+        for p in (None, pre):
+            for iters in (1, 30):
+                assert (estimate_lipschitz_pnorm(fwd, p, iters, Rng(62))
+                        == former_loop(fwd, p, iters, Rng(62)))
+        assert estimate_lipschitz_pnorm(matrix_operator(np.zeros((3, 4))), None, 5, Rng(63)) == 0.0
 
     def test_matches_dense_generalized_eigenvalue(self):
         rng = Rng(9)
