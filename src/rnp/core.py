@@ -9,7 +9,9 @@ solvers.
 from __future__ import annotations
 
 import struct
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -65,8 +67,7 @@ class Rng:
 
     def uniform(self, n: int) -> np.ndarray:
         """n uniforms strictly inside (0, 1), 53-bit resolution."""
-        bits = self.raw(n) >> np.uint64(11)
-        return (bits.astype(np.float64) + 0.5) * (2.0 ** -53)
+        return _uniforms(self.raw(n))
 
     def normal(self, n: int) -> np.ndarray:
         """n standard normal samples via the inverse CDF."""
@@ -106,20 +107,40 @@ class ImageGrid:
         return self.data.reshape(self.rows, self.cols, order="F")
 
 
-def standard_normal_matrix(n: int, k: int, rng: Rng) -> np.ndarray:
+def _uniforms(bits: np.ndarray) -> np.ndarray:
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+
+
+def _normals_into(bits: np.ndarray, out: np.ndarray) -> None:
+    ndtri(_uniforms(bits), out=out)
+
+
+def standard_normal_matrix(n: int, k: int, rng: Rng,
+                           pool: Optional[Executor] = None) -> np.ndarray:
     """n-by-k matrix of i.i.d. standard normals filled column by column.
 
     One draw of n*k samples fills the columns in order, so the result and
-    the stream position equal k successive ``rng.normal(n)`` columns.
+    the stream position equal k successive ``rng.normal(n)`` columns.  The
+    draw is returned in its natural layout, the transpose of a C-ordered
+    k x n array: Fortran order, each column contiguous, with no copy.
+
+    With ``pool`` (an executor with a free worker) the calling thread takes
+    the raw bits and converts the first half of them to normals while the
+    pool converts the second half; every element is computed as without it.
+    A task running on ``pool`` must not pass ``pool``: it would wait on
+    the executor it occupies.
     """
     if n < 1 or k < 1:
         raise ValueError("matrix dimensions must be >= 1")
-    out = np.empty((n, k), dtype=np.float64)
-    # written through the transpose so the result stays C-ordered:
-    # reductions over it, such as the Frobenius norm in the sketch, sum in
-    # memory order
-    out.T[:] = rng.normal(n * k).reshape(k, n)
-    return out
+    if pool is None:
+        return rng.normal(n * k).reshape(k, n).T
+    bits = rng.raw(n * k)
+    out = np.empty(n * k)
+    half = out.size // 2
+    rest = pool.submit(_normals_into, bits[half:], out[half:])
+    _normals_into(bits[:half], out[:half])
+    rest.result()
+    return out.reshape(k, n).T
 
 
 def lp_power(v: np.ndarray, p: float) -> float:

@@ -108,13 +108,26 @@ def build_problem(spec: ExperimentSpec, seed: int) -> ProblemInstance:
     return make_ct(spec.n, spec.views, spec.regularizer, spec.noise_sigma, rng)
 
 
-def _run_one(spec: ExperimentSpec, lam: float, K: int, seed: int) -> RunResult:
+def _run_seed(spec: ExperimentSpec, seed: int,
+              pairs: list[tuple[float, int]]) -> list[RunResult]:
+    """Run each (lambda, K) pair on the seed's problem, built once for all of
+    them; a failed build gives every pair an error result."""
+    try:
+        problem = build_problem(spec, seed)
+    except Exception as exc:  # reported by each pair's result
+        problem = exc
+    return [_run_one(spec, lam, K, seed, problem) for lam, K in pairs]
+
+
+def _run_one(spec: ExperimentSpec, lam: float, K: int, seed: int,
+             problem: ProblemInstance | Exception) -> RunResult:
     run_id = f"{spec.solver}_K{K}_lam{lam:g}_seed{seed}"
     out = Path(spec.out_dir) / spec.name
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{run_id}.csv"
     try:
-        problem = build_problem(spec, seed)
+        if isinstance(problem, Exception):
+            raise problem
         rng = Rng(seed).spawn(1)  # solver stream; problem noise used stream 0
         if spec.solver == "irm":
             cfg = IrmConfig(p=spec.p, q=spec.q, lam=lam, outer_max=spec.outer_max,
@@ -146,15 +159,24 @@ def _run_one(spec: ExperimentSpec, lam: float, K: int, seed: int) -> RunResult:
 
 
 def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
-    """Run every (lambda, K, seed) combination and write per-run plus summary CSVs."""
-    combos = [(lam, K, seed) for lam in spec.lam_grid
-              for K in spec.sketch_sizes for seed in spec.seeds]
+    """Run every (lambda, K, seed) combination and write per-run plus summary CSVs.
+
+    Each seed's problem is built once and solved for all its (lambda, K)
+    pairs.  With ``jobs > 1`` the seeds run in parallel, or, when there are
+    fewer seeds than jobs, the single combinations, each building its own
+    problem.  Results come back in (lambda, K, seed) order either way.
+    """
+    pairs = [(lam, K) for lam in spec.lam_grid for K in spec.sketch_sizes]
+    tasks = [(seed, pairs) for seed in spec.seeds]
+    if 1 < spec.jobs and len(spec.seeds) < spec.jobs:
+        tasks = [(seed, [pair]) for seed in spec.seeds for pair in pairs]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs, initializer=apply_on_one_core) as pool:
-            results = list(pool.map(_run_one, *zip(*[(spec, lam, K, seed)
-                                                     for lam, K, seed in combos])))
+            done = list(pool.map(_run_seed, *zip(*[(spec, seed, ps) for seed, ps in tasks])))
     else:
-        results = [_run_one(spec, lam, K, seed) for lam, K, seed in combos]
+        done = [_run_seed(spec, seed, ps) for seed, ps in tasks]
+    by_combo = {(r.lam, r.K, r.seed): r for results in done for r in results}
+    results = [by_combo[lam, K, seed] for lam, K in pairs for seed in spec.seeds]
     _write_summary(spec, results)
     return results
 

@@ -11,9 +11,12 @@ Operators are immutable after construction and safe for concurrent use:
 any number of threads may apply one operator at the same time.  Large
 radon operators split each product across the usable cores, running one
 row block on the calling thread and the others on a thread pool shared by
-the whole process.  The pool is created on the first split product, only
-ever runs sparse products (which never wait on the pool), and is
-recreated in a child after ``fork``, whose copy of the pool has no threads.
+the whole process.  The same pool (``spare_pool``) also converts half of a
+sketch's Gaussian draw and draws the next IRM test matrix ahead of time.
+The pool is created on first use and recreated in a child after ``fork``,
+whose copy of the pool has no threads.  No task running on the pool may
+submit to it and wait for the result: with one worker, that task would
+wait on itself.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "wavelet_operator",
     "radon_operator",
     "apply_on_one_core",
+    "spare_pool",
     "gram_operator",
     "operator_norm_sq",
     "adjoint_defect",
@@ -89,7 +93,9 @@ class LinearOperator:
 def _column_loop(fn: Callable[[np.ndarray], np.ndarray], rows: int,
                  xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
-    out = np.empty((rows, xs.shape[1]))
+    # Fortran order: each column's apply reads and writes contiguous memory
+    # when xs is Fortran-ordered too, as the sketch's test matrix is
+    out = np.empty((rows, xs.shape[1]), order="F")
     for j in range(xs.shape[1]):
         out[:, j] = fn(xs[:, j])
     return out
@@ -186,6 +192,12 @@ def _as_image(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).reshape(rows, cols, order="F")
 
 
+def _as_transposed_image(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The column-stacked vector as a (cols, rows) C-ordered view: element
+    [j, i] is pixel (i, j), so pixel rows run along axis 1."""
+    return np.asarray(x, dtype=np.float64).reshape(cols, rows)
+
+
 def blur_operator(kernel: np.ndarray, rows: int, cols: int) -> LinearOperator:
     """Circular 2-D convolution with an odd-sized kernel (FFT-based).
 
@@ -210,7 +222,7 @@ def blur_operator(kernel: np.ndarray, rows: int, cols: int) -> LinearOperator:
     n = rows * cols
 
     def filtered(x, transfer):
-        im_t = np.asarray(x, dtype=np.float64).reshape(cols, rows)
+        im_t = _as_transposed_image(x, rows, cols)
         return np.fft.irfft2(np.fft.rfft2(im_t) * transfer, s=(cols, rows)).ravel()
 
     return LinearOperator(n, n, lambda x: filtered(x, otf), lambda y: filtered(y, otf_conj))
@@ -236,67 +248,81 @@ def downsample_operator(blur: LinearOperator, rows: int, cols: int, factor: int)
     return LinearOperator(rows * cols, out_rows * out_cols, apply, adjoint)
 
 
+def _periodic_shifts(t: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """For a (cols, rows) view t of an image im, the map
+    ``(di, dj) -> im[i + di, j + dj]`` (periodic, |di|, |dj| <= 1) in the
+    same view, as slices of one copy of t with a one-pixel wrapped border."""
+    cols, rows = t.shape
+    pad = np.empty((cols + 2, rows + 2))
+    pad[1:-1, 1:-1] = t
+    pad[0, 1:-1], pad[-1, 1:-1] = t[-1], t[0]
+    pad[:, 0], pad[:, -1] = pad[:, -2], pad[:, 1]
+    return lambda di, dj: pad[1 + dj:1 + dj + cols, 1 + di:1 + di + rows]
+
+
 def grad_operator(rows: int, cols: int) -> tuple[LinearOperator, GroupStructure]:
-    """Per-pixel (vertical, horizontal) periodic first differences."""
+    """Per-pixel (vertical, horizontal) periodic first differences.
+
+    Both maps take slice differences on the (cols, rows) view of the
+    column-stacked vector, whose (pixel, component) output is a
+    (cols, rows, 2) array in C order.
+    """
     if rows < 2 or cols < 2:
         raise ValueError("need at least a 2x2 image")
     n = rows * cols
     structure = GroupStructure("vector", n, 2)
 
     def apply(x):
-        im = _as_image(x, rows, cols)
-        out = np.empty((n, 2))
-        out[:, 0] = (im - np.roll(im, 1, axis=0)).ravel(order="F")
-        out[:, 1] = (im - np.roll(im, 1, axis=1)).ravel(order="F")
+        t = _as_transposed_image(x, rows, cols)
+        out = np.empty((cols, rows, 2))
+        v, h = out[..., 0], out[..., 1]
+        np.subtract(t[:, 1:], t[:, :-1], out=v[:, 1:])
+        np.subtract(t[:, :1], t[:, -1:], out=v[:, :1])
+        np.subtract(t[1:], t[:-1], out=h[1:])
+        np.subtract(t[:1], t[-1:], out=h[:1])
         return out.ravel()
 
     def adjoint(g):
-        grp = np.asarray(g, dtype=np.float64).reshape(n, 2)
-        v = grp[:, 0].reshape(rows, cols, order="F")
-        h = grp[:, 1].reshape(rows, cols, order="F")
-        out = v - np.roll(v, -1, axis=0) + h - np.roll(h, -1, axis=1)
-        return out.ravel(order="F")
+        grp = np.asarray(g, dtype=np.float64).reshape(cols, rows, 2)
+        v, h = grp[..., 0], grp[..., 1]
+        out = np.empty((cols, rows))
+        np.subtract(v[:, :-1], v[:, 1:], out=out[:, :-1])
+        np.subtract(v[:, -1:], v[:, :1], out=out[:, -1:])
+        out += h
+        out[:-1] -= h[1:]
+        out[-1:] -= h[:1]
+        return out.ravel()
 
     return LinearOperator(n, 2 * n, apply, adjoint), structure
 
 
 def hessian_operator(rows: int, cols: int) -> tuple[LinearOperator, GroupStructure]:
-    """Per-pixel symmetric second differences (v11, v22, v12), periodic."""
+    """Per-pixel symmetric second differences (v11, v22, v12), periodic.
+
+    Like ``grad_operator``, both maps work on the (cols, rows) view, here
+    through the shifted slices of ``_periodic_shifts``.
+    """
     if rows < 3 or cols < 3:
         raise ValueError("need at least a 3x3 image")
     n = rows * cols
     structure = GroupStructure("sym2x2", n, 3)
 
     def apply(x):
-        im = _as_image(x, rows, cols)
-        v11 = np.roll(im, 1, axis=0) - 2.0 * im + np.roll(im, -1, axis=0)
-        v22 = np.roll(im, 1, axis=1) - 2.0 * im + np.roll(im, -1, axis=1)
-        v12 = 0.25 * (
-            np.roll(im, (-1, -1), axis=(0, 1))
-            - np.roll(im, (-1, 1), axis=(0, 1))
-            - np.roll(im, (1, -1), axis=(0, 1))
-            + np.roll(im, (1, 1), axis=(0, 1))
-        )
-        out = np.empty((n, 3))
-        out[:, 0] = v11.ravel(order="F")
-        out[:, 1] = v22.ravel(order="F")
-        out[:, 2] = v12.ravel(order="F")
+        t = _as_transposed_image(x, rows, cols)
+        s = _periodic_shifts(t)
+        out = np.empty((cols, rows, 3))
+        out[..., 0] = s(-1, 0) - 2.0 * t + s(1, 0)
+        out[..., 1] = s(0, -1) - 2.0 * t + s(0, 1)
+        out[..., 2] = 0.25 * (s(1, 1) - s(1, -1) - s(-1, 1) + s(-1, -1))
         return out.ravel()
 
     def adjoint(g):
-        grp = np.asarray(g, dtype=np.float64).reshape(n, 3)
-        a = grp[:, 0].reshape(rows, cols, order="F")
-        b = grp[:, 1].reshape(rows, cols, order="F")
-        c = grp[:, 2].reshape(rows, cols, order="F")
-        out = np.roll(a, -1, axis=0) - 2.0 * a + np.roll(a, 1, axis=0)
-        out += np.roll(b, -1, axis=1) - 2.0 * b + np.roll(b, 1, axis=1)
-        out += 0.25 * (
-            np.roll(c, (1, 1), axis=(0, 1))
-            - np.roll(c, (1, -1), axis=(0, 1))
-            - np.roll(c, (-1, 1), axis=(0, 1))
-            + np.roll(c, (-1, -1), axis=(0, 1))
-        )
-        return out.ravel(order="F")
+        grp = np.asarray(g, dtype=np.float64).reshape(cols, rows, 3)
+        a, b, c = (_periodic_shifts(grp[..., m]) for m in range(3))
+        out = a(1, 0) - 2.0 * a(0, 0) + a(-1, 0)
+        out += b(0, 1) - 2.0 * b(0, 0) + b(0, -1)
+        out += 0.25 * (c(-1, -1) - c(-1, 1) - c(1, -1) + c(1, 1))
+        return out.ravel()
 
     return LinearOperator(n, 3 * n, apply, adjoint), structure
 
@@ -447,6 +473,13 @@ def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def spare_pool() -> Optional[ThreadPoolExecutor]:
+    """The shared pool when a second core is usable, else None (callers then
+    do the work inline).  A task running on the pool must not submit to it
+    and wait."""
+    return _shared_pool() if _usable_cores() > 1 else None
 
 
 def _shared_pool() -> ThreadPoolExecutor:

@@ -22,12 +22,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .core import Rng, standard_normal_matrix
-from .linops import LinearOperator
+from .linops import LinearOperator, spare_pool
 
 __all__ = [
     "NystromFactor",
@@ -64,14 +65,20 @@ class NystromFactor:
 
 
 def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
-                   eps: float = MACHINE_EPS) -> NystromFactor:
+                   eps: float = MACHINE_EPS,
+                   omega: Optional[np.ndarray] = None) -> NystromFactor:
     """Randomized low-rank factorization of a symmetric PSD operator.
 
-    Draws a Gaussian test matrix up front and applies ``phi`` to it in one
-    block call (``phi.apply_block``), which loops over the columns unless
-    ``phi`` declares a native block map; either way each column equals the
-    single-vector apply bit for bit, so the result is bit-identical for a
-    fixed seed however the applications are scheduled.  The Gram matrix is
+    Draws the Gaussian test matrix ``standard_normal_matrix(N, K, rng)`` up
+    front, converting half of it on the spare core when there is one
+    (``linops.spare_pool``).  A caller that drew it ahead of time passes it
+    as ``omega``, which must equal that draw; ``rng`` is then left as it is.
+    The matrix and its image are kept in Fortran order, so each column is
+    contiguous for the column applies.  ``phi`` maps it in one block call (``phi.apply_block``), which loops
+    over the columns unless ``phi`` declares a native block map; either way
+    each column equals the single-vector apply bit for bit, so the result
+    is bit-identical for a fixed seed however the applications are
+    scheduled.  The Gram matrix is
     shifted by nu = eps * ||Omega||_F before the Cholesky step; if that
     factorization fails the shift escalates (x10, at most 5 attempts,
     seeded from eps * ||Y||_F / sqrt(N) as a fallback scale) before giving
@@ -92,9 +99,14 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     n = phi.domain_dim
     if not 1 <= K <= n:
         raise ValueError(f"sketch size {K} out of range [1, {n}]")
-    omega = standard_normal_matrix(n, K, rng)
-    # C order, as the column loop fills it: the reductions below sum in memory order
-    y = np.ascontiguousarray(phi.apply_block(omega))
+    if omega is None:
+        omega = standard_normal_matrix(n, K, rng, spare_pool())
+    elif omega.shape != (n, K):
+        raise ValueError(f"test matrix is {omega.shape}, expected {(n, K)}")
+    # both in Fortran order, whatever layout a caller or the block map uses:
+    # small products such as omega'Y sum in an order that follows the layouts
+    omega = np.asfortranarray(omega)
+    y = np.asfortranarray(phi.apply_block(omega))
     nu = eps * float(np.linalg.norm(omega))
     for attempt in range(5):
         y_nu = y + nu * omega

@@ -6,15 +6,16 @@ gradient and proximal steps live in the preconditioner metric.
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import ImageGrid, Rng, psnr
+from .core import ImageGrid, Rng, psnr, standard_normal_matrix
 from .krylov import cg, pcg  # noqa: F401  (unused; bench/spans.py wraps rnp.solvers.cg)
 from .linops import (DiagonalWeight, GroupStructure, LinearOperator, compose,
-                     gram_operator, operator_norm_sq, transpose)
+                     gram_operator, operator_norm_sq, spare_pool, transpose)
 from .prox import (BoxConstraint, SoftThresholdProx, weighted_op_norm_sq,
                    mixed_norm_value, wpm_mixed_dual, wpm_structured)
 from .sketch import Preconditioner, build_preconditioner, nystrom_approx
@@ -226,6 +227,13 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
     the solve returns it unchanged whatever the preconditioner, so that
     iteration records ``sketch_s = 0``.
 
+    The test matrix does not depend on the data, so when a second core is
+    usable (``linops.spare_pool``) each sketch of iteration k has the pool
+    draw iteration k+1's matrix meanwhile; iteration k+1 uses it if it
+    sketches.  The draw is the one ``rng.spawn(k+1)`` would give, so the
+    trace is the same with one core or two.  At most one draw is in flight,
+    and none is left running on return.
+
     When no ``x0`` is given, iteration 1 runs with unit weights (the
     p=q=2 subproblem) and only later iterations reweight.  For p < 1 the
     first weights would otherwise be computed at an arbitrary point and
@@ -238,42 +246,65 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
         x = y.copy() if A.domain_dim == A.range_dim else A.adjoint(y)
     else:
         x = np.asarray(x0, dtype=np.float64).copy()
+    n, K = A.domain_dim, min(cfg.sketch_size, A.domain_dim)
+    pool = spare_pool() if K > 0 else None
+    ahead: Optional[tuple[int, Future]] = None  # (iteration, its test matrix being drawn)
     trace = SolverTrace()
     start = time.perf_counter()
-    for k in range(1, cfg.outer_max + 1):
-        if warmup and k == 1:
-            v, z = np.ones(A.range_dim), np.ones(L.range_dim)
-        else:
-            v, z = update_weights(x, A, L, structure, y, cfg.p, cfg.q,
-                                  cfg.eps_p, cfg.eps_q)
-        wf = DiagonalWeight((2.0 / cfg.p) * v)
-        wg = DiagonalWeight((2.0 / cfg.q) * z)
-        phi = gram_operator(A, wf, L, wg, cfg.lam)
-        rhs = A.adjoint(wf.values * y)
-        sketch_s = 0.0
+    try:
+        for k in range(1, cfg.outer_max + 1):
+            if warmup and k == 1:
+                v, z = np.ones(A.range_dim), np.ones(L.range_dim)
+            else:
+                v, z = update_weights(x, A, L, structure, y, cfg.p, cfg.q,
+                                      cfg.eps_p, cfg.eps_q)
+            wf = DiagonalWeight((2.0 / cfg.p) * v)
+            wg = DiagonalWeight((2.0 / cfg.q) * z)
+            phi = gram_operator(A, wf, L, wg, cfg.lam)
+            rhs = A.adjoint(wf.values * y)
+            sketch_s = 0.0
 
-        def sketch_pinv():
-            nonlocal sketch_s
-            t0 = time.perf_counter()
-            factor = nystrom_approx(phi, min(cfg.sketch_size, A.domain_dim), rng.spawn(k))
-            sketch_s = time.perf_counter() - t0
-            mu = cfg.mu_floor * factor.S_hat[0] if factor.S_hat[0] > 0 else 1e-12
-            return build_preconditioner(factor, mu, cfg.sqrt_tail).apply_Pinv
+            def sketch_pinv():
+                nonlocal sketch_s, ahead
+                t0 = time.perf_counter()
+                omega = None
+                if ahead is not None:
+                    if ahead[0] == k:
+                        omega = ahead[1].result()
+                    else:
+                        _settle(ahead[1])
+                    ahead = None
+                factor = nystrom_approx(phi, K, rng.spawn(k), omega=omega)
+                if pool is not None and k < cfg.outer_max:
+                    # core's draw, which never submits to the pool it runs on
+                    ahead = (k + 1, pool.submit(standard_normal_matrix, n, K, rng.spawn(k + 1)))
+                sketch_s = time.perf_counter() - t0
+                mu = cfg.mu_floor * factor.S_hat[0] if factor.S_hat[0] > 0 else 1e-12
+                return build_preconditioner(factor, mu, cfg.sqrt_tail).apply_Pinv
 
-        report = pcg(phi, rhs, None, tol=cfg.inner_tol, maxiter=cfg.inner_max, x0=x,
-                     build_pinv=sketch_pinv if cfg.sketch_size > 0 else None)
-        x_new = report.solution
-        cost = irm_cost(x_new, v, z, A, L, structure, y, cfg.lam, cfg.p, cfg.q)
-        if not np.isfinite(cost):
-            raise FloatingPointError(f"non-finite cost at outer iteration {k}")
-        trace.append(iter=k, elapsed_s=time.perf_counter() - start, cost=cost,
-                     psnr=_problem_psnr(problem, x_new), inner_iters=report.iterations,
-                     sketch_s=sketch_s)
-        rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x_new), 1e-300)
-        x = x_new
-        if rel < cfg.outer_tol and not (warmup and k == 1):
-            break
+            report = pcg(phi, rhs, None, tol=cfg.inner_tol, maxiter=cfg.inner_max, x0=x,
+                         build_pinv=sketch_pinv if K > 0 else None)
+            x_new = report.solution
+            cost = irm_cost(x_new, v, z, A, L, structure, y, cfg.lam, cfg.p, cfg.q)
+            if not np.isfinite(cost):
+                raise FloatingPointError(f"non-finite cost at outer iteration {k}")
+            trace.append(iter=k, elapsed_s=time.perf_counter() - start, cost=cost,
+                         psnr=_problem_psnr(problem, x_new), inner_iters=report.iterations,
+                         sketch_s=sketch_s)
+            rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x_new), 1e-300)
+            x = x_new
+            if rel < cfg.outer_tol and not (warmup and k == 1):
+                break
+    finally:
+        if ahead is not None:
+            _settle(ahead[1])
     return x, trace
+
+
+def _settle(draw: Future) -> None:
+    """Cancel a draw nobody will use, or wait for it if it has started."""
+    if not draw.cancel():
+        draw.result()
 
 
 def _problem_psnr(problem, x: np.ndarray) -> float:

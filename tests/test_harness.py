@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import signal
 import subprocess
@@ -9,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rnp import harness
 from rnp.core import Rng
-from rnp.harness import (ExperimentSpec, TRACE_HEADER, compare_inner_iterations,
-                         run_experiment, saved_time, write_trace_csv)
+from rnp.harness import (ExperimentSpec, TRACE_HEADER, build_problem,
+                         compare_inner_iterations, run_experiment, saved_time,
+                         write_trace_csv)
 from rnp.problems import make_deblur
 from rnp.solvers import SolverTrace
 
@@ -79,6 +82,51 @@ class TestRunExperiment:
                 for idx, (va, vb) in enumerate(zip(row_a, row_b)):
                     if idx not in timing:
                         assert va == vb
+
+    def test_builds_each_problem_once_per_seed(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting(spec, seed):
+            built.append(seed)
+            return build_problem(spec, seed)
+
+        monkeypatch.setattr(harness, "build_problem", counting)
+        spec = tiny_spec(tmp_path, name="shared", lam_grid=(0.05, 0.2),
+                         sketch_sizes=(0, 8), seeds=(1, 2), outer_max=2)
+        shared = run_experiment(spec)
+        assert sorted(built) == [1, 2]
+        assert [(r.lam, r.K, r.seed) for r in shared] == [
+            (lam, K, seed) for lam in spec.lam_grid for K in spec.sketch_sizes
+            for seed in spec.seeds]
+        built.clear()
+        timing = {TRACE_HEADER.index("elapsed_s"), TRACE_HEADER.index("sketch_s")}
+        for r in shared:
+            alone = run_experiment(dataclasses.replace(
+                spec, name=f"alone_{r.run_id}", lam_grid=(r.lam,), sketch_sizes=(r.K,),
+                seeds=(r.seed,)))[0]
+            assert r.status == alone.status == "ok"
+            rows_shared, rows_alone = read_rows(r.csv_path), read_rows(alone.csv_path)
+            assert [[v for i, v in enumerate(row) if i not in timing] for row in rows_shared] \
+                == [[v for i, v in enumerate(row) if i not in timing] for row in rows_alone]
+        assert len(built) == len(shared)
+
+    def test_failed_build_reports_every_combination_of_its_seed(self, tmp_path, monkeypatch):
+        def failing_for_seed_2(spec, seed):
+            if seed == 2:
+                raise ValueError("no problem for seed 2")
+            return build_problem(spec, seed)
+
+        monkeypatch.setattr(harness, "build_problem", failing_for_seed_2)
+        spec = tiny_spec(tmp_path, name="half", lam_grid=(0.05, 0.2),
+                         sketch_sizes=(0, 8), seeds=(1, 2), outer_max=2)
+        results = run_experiment(spec)
+        assert len(results) == 8
+        for r in results:
+            if r.seed == 2:
+                assert r.status == "error: no problem for seed 2"
+            else:
+                assert r.status == "ok"
+        assert len(read_rows(Path(tmp_path) / "half" / "summary.csv")) == 9
 
     def test_lambda_grid_marks_best_psnr(self, tmp_path):
         spec = tiny_spec(tmp_path, name="grid", sketch_sizes=(16,),

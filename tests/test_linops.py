@@ -100,6 +100,21 @@ class TestGrad:
         assert adjoint_defect(op, Rng(4)) < 1e-10
 
 
+    @pytest.mark.parametrize("rows,cols", [(2, 3), (7, 5), (9, 13), (33, 17)])
+    def test_equals_roll_formulas_bitwise_on_odd_nonsquare_images(self, rows, cols):
+        op, _ = grad_operator(rows, cols)
+        rng = Rng(rows * cols)
+        x, g = rng.normal(rows * cols), rng.normal(2 * rows * cols)
+        im = x.reshape(rows, cols, order="F")
+        ref = np.stack([(im - np.roll(im, 1, axis=0)).ravel(order="F"),
+                        (im - np.roll(im, 1, axis=1)).ravel(order="F")], axis=1).ravel()
+        assert np.array_equal(op.apply(x), ref)
+        v = g.reshape(-1, 2)[:, 0].reshape(rows, cols, order="F")
+        h = g.reshape(-1, 2)[:, 1].reshape(rows, cols, order="F")
+        ref = (v - np.roll(v, -1, axis=0) + h - np.roll(h, -1, axis=1)).ravel(order="F")
+        assert np.array_equal(op.adjoint(g), ref)
+
+
 class TestHessian:
     def test_constant_image_maps_to_zero(self):
         op, _ = hessian_operator(6, 6)
@@ -115,6 +130,33 @@ class TestHessian:
     def test_adjoint(self):
         op, _ = hessian_operator(8, 8)
         assert adjoint_defect(op, Rng(6)) < 1e-10
+
+    @pytest.mark.parametrize("rows,cols", [(3, 5), (7, 5), (9, 13), (33, 17)])
+    def test_equals_roll_formulas_bitwise_on_odd_nonsquare_images(self, rows, cols):
+        op, _ = hessian_operator(rows, cols)
+        rng = Rng(rows + cols)
+        x, g = rng.normal(rows * cols), rng.normal(3 * rows * cols)
+        im = x.reshape(rows, cols, order="F")
+        v11 = np.roll(im, 1, axis=0) - 2.0 * im + np.roll(im, -1, axis=0)
+        v22 = np.roll(im, 1, axis=1) - 2.0 * im + np.roll(im, -1, axis=1)
+        v12 = 0.25 * (
+            np.roll(im, (-1, -1), axis=(0, 1))
+            - np.roll(im, (-1, 1), axis=(0, 1))
+            - np.roll(im, (1, -1), axis=(0, 1))
+            + np.roll(im, (1, 1), axis=(0, 1))
+        )
+        ref = np.stack([m.ravel(order="F") for m in (v11, v22, v12)], axis=1).ravel()
+        assert np.array_equal(op.apply(x), ref)
+        a, b, c = (g.reshape(-1, 3)[:, m].reshape(rows, cols, order="F") for m in range(3))
+        ref = np.roll(a, -1, axis=0) - 2.0 * a + np.roll(a, 1, axis=0)
+        ref += np.roll(b, -1, axis=1) - 2.0 * b + np.roll(b, 1, axis=1)
+        ref += 0.25 * (
+            np.roll(c, (1, 1), axis=(0, 1))
+            - np.roll(c, (1, -1), axis=(0, 1))
+            - np.roll(c, (-1, 1), axis=(0, 1))
+            + np.roll(c, (-1, -1), axis=(0, 1))
+        )
+        assert np.array_equal(op.adjoint(g), ref.ravel(order="F"))
 
     def test_group_structure(self):
         _, structure = hessian_operator(5, 5)

@@ -3,8 +3,9 @@ import pytest
 
 from rnp import linops
 from rnp.core import Rng, standard_normal_matrix
-from rnp.linops import LinearOperator, compose, matrix_operator, transpose
-from rnp.problems import make_ct
+from rnp.linops import (DiagonalWeight, LinearOperator, compose, gram_operator,
+                        matrix_operator, transpose)
+from rnp.problems import make_ct, make_deblur
 from rnp.sketch import (NystromFactor, build_preconditioner,
                         effective_dimension, load_factor, nystrom_approx,
                         nystrom_oracle_dense, save_factor, recommended_sketch_size)
@@ -115,6 +116,38 @@ class TestNystromApprox:
         assert np.array_equal(block.U, looped.U)
         assert np.array_equal(block.S_hat, looped.S_hat)
         assert block.shift == looped.shift
+
+    def test_small_sketch_does_not_depend_on_the_block_map_layout(self):
+        # 40 x 15 is small enough for BLAS kernels whose sums follow the
+        # memory layout, so a C-ordered block result must not reach them
+        d = np.exp(np.linspace(0.0, -6.0, 40))
+        looped = LinearOperator(40, 40, lambda x: d * x, lambda x: d * x)
+        c_block = LinearOperator(40, 40, looped.apply, looped.adjoint,
+                                 lambda xs: np.ascontiguousarray(d[:, None] * xs))
+        a = nystrom_approx(looped, 15, Rng(63))
+        b = nystrom_approx(c_block, 15, Rng(63))
+        given = nystrom_approx(looped, 15, Rng(63),
+                               omega=np.ascontiguousarray(standard_normal_matrix(40, 15, Rng(63))))
+        for f in (b, given):
+            assert np.array_equal(f.U, a.U)
+            assert np.array_equal(f.S_hat, a.S_hat)
+            assert f.shift == a.shift
+
+    def test_predrawn_test_matrix_gives_the_same_factor(self):
+        prob = make_deblur("gauss9", 32, 0.05, Rng(60))
+        r = Rng(61)
+        phi = gram_operator(prob.A, DiagonalWeight(np.exp(r.normal(prob.A.range_dim))),
+                            prob.L, DiagonalWeight(np.exp(r.normal(prob.L.range_dim))), 0.05)
+        drawn = nystrom_approx(phi, 20, Rng(62))
+        given_rng = Rng(62)
+        given = nystrom_approx(phi, 20, given_rng,
+                               omega=standard_normal_matrix(32 * 32, 20, Rng(62)))
+        assert np.array_equal(given.U, drawn.U)
+        assert np.array_equal(given.S_hat, drawn.S_hat)
+        assert given.shift == drawn.shift
+        assert given_rng.counter == 0
+        with pytest.raises(ValueError):
+            nystrom_approx(phi, 20, Rng(62), omega=standard_normal_matrix(32 * 32, 19, Rng(62)))
 
     def test_non_psd_raises_after_escalation(self):
         bad = matrix_operator(np.diag([1.0, -5.0, 2.0]))

@@ -1,10 +1,18 @@
 import dataclasses
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from rnp import linops
 from rnp.core import ImageGrid, Rng, standard_normal_matrix
 from rnp.linops import (GroupStructure, LinearOperator, identity_operator,
                         matrix_operator)
@@ -171,6 +179,41 @@ class TestIrmCost:
         assert f == pytest.approx(expected, rel=1e-12)
 
 
+class DeferredFuture(Future):
+    """Starts its task only when its result is asked for."""
+
+    def __init__(self, fn, args):
+        super().__init__()
+        self._task = fn, args
+
+    def result(self, timeout=None):
+        if not self.done() and self.set_running_or_notify_cancel():
+            fn, args = self._task
+            self.set_result(fn(*args))
+        return super().result(timeout)
+
+
+class DeferredPool:
+    """Runs each task at once, except test matrix draws, which wait until
+    their result is asked for; counts the draws not yet done at each submit."""
+
+    def __init__(self):
+        self.submits = 0
+        self.draws = []
+        self.most_in_flight = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if fn is not standard_normal_matrix:
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+        future = DeferredFuture(fn, args)
+        self.draws.append(future)
+        self.most_in_flight = max(self.most_in_flight, sum(not f.done() for f in self.draws))
+        return future
+
+
 class TestIrmSolve:
     def test_ridge_closed_form(self):
         n = 64
@@ -217,6 +260,128 @@ class TestIrmSolve:
         assert len(calls) == len(iterated)
         assert all(r.sketch_s == 0.0 for r in skipped)
         assert all(r.sketch_s > 0.0 for r in iterated)
+
+    def test_traces_equal_with_one_and_two_usable_cores(self, monkeypatch):
+        import rnp.solvers as solvers
+        prob = make_deblur("gauss9", 32, 0.05, Rng(0))
+        cfg = IrmConfig(p=1.0, q=1.0, lam=0.05, sketch_size=16)
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(linops, "_usable_cores", lambda: cores)
+            pool = DeferredPool()
+            monkeypatch.setattr(linops, "_shared_pool", lambda: pool)
+            given = []
+
+            def recording(*args, omega=None, **kwargs):
+                given.append(omega is not None)
+                return nystrom_approx(*args, omega=omega, **kwargs)
+
+            monkeypatch.setattr(solvers, "nystrom_approx", recording)
+            x, trace = irm_solve(prob, cfg, Rng(3))
+            runs.append((x, trace, pool, given))
+        (x1, t1, pool1, given1), (x2, t2, pool2, given2) = runs
+        assert np.array_equal(x1, x2)
+        for attr in ("costs", "psnrs", "inner_iters"):
+            assert np.array_equal(getattr(t1, attr), getattr(t2, attr))
+        assert pool1.submits == 0 and not any(given1)
+        assert pool2.submits > len(pool2.draws)  # the first draw was split
+        # every sketch after the first uses the draw made during the one before
+        assert given2[0] is False and all(given2[1:]) and len(given2) >= 2
+        assert len(pool2.draws) == len(given2)
+
+    def test_no_draw_left_in_flight(self, monkeypatch):
+        import rnp.solvers as solvers
+        monkeypatch.setattr(linops, "_usable_cores", lambda: 2)
+        pool = DeferredPool()
+        monkeypatch.setattr(linops, "_shared_pool", lambda: pool)
+        prob = make_deblur("gauss9", 32, 0.05, Rng(0))
+        cfg = IrmConfig(p=1.0, q=1.0, lam=0.05, sketch_size=16)
+        irm_solve(prob, cfg, Rng(3))
+        # the draw for the iteration after the last sketch was never started
+        assert len(pool.draws) >= 2 and pool.draws[-1].cancelled()
+        assert all(f.done() for f in pool.draws)
+        assert pool.most_in_flight == 1
+        calls = []
+
+        def failing_cost(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("stop")
+            return irm_cost(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "irm_cost", failing_cost)
+        pool.draws.clear()
+        with pytest.raises(RuntimeError):
+            irm_solve(prob, cfg, Rng(3))
+        assert pool.draws and all(f.done() for f in pool.draws)
+
+    def test_concurrent_solves_share_the_pool_and_agree(self, monkeypatch):
+        monkeypatch.setattr(linops, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(linops, "_pool", None)
+        prob = make_deblur("gauss9", 32, 0.05, Rng(0))
+        cfg = IrmConfig(p=1.0, q=1.0, lam=0.05, outer_max=4, sketch_size=8)
+        ref_x, ref_trace = irm_solve(prob, cfg, Rng(5))
+        results, errors = [None] * 8, []
+
+        def solve(i):
+            try:
+                results[i] = irm_solve(prob, cfg, Rng(5))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for x, trace in results:
+            assert np.array_equal(x, ref_x)
+            assert np.array_equal(trace.costs, ref_trace.costs)
+
+    def test_split_radon_solve_with_drawn_ahead_matrices_finishes(self, tmp_path):
+        # Radon products and test matrix draws share one pool thread when
+        # two cores are forced; run in a subprocess so that a deadlock fails
+        # the test instead of stalling the suite.
+        script = textwrap.dedent("""
+            import numpy as np
+            from rnp import linops
+            from rnp.core import Rng
+            from rnp.problems import make_ct
+            from rnp.solvers import IrmConfig, irm_solve
+
+            linops._usable_cores = lambda: 2
+            prob = make_ct(96, 60, "tv", 0.01, Rng(0))  # split: 1.0 M nonzeros
+            cfg = IrmConfig(p=1.0, q=1.0, lam=0.05, outer_max=4, inner_max=60,
+                            sketch_size=12)
+            x2, t2 = irm_solve(prob, cfg, Rng(1))
+            assert linops._pool is not None
+            assert np.count_nonzero(t2.inner_iters) >= 2, t2.inner_iters
+            linops._usable_cores = lambda: 1  # the same operator, draws inline
+            x1, t1 = irm_solve(prob, cfg, Rng(1))
+            assert np.array_equal(x1, x2) and np.array_equal(t1.costs, t2.costs)
+            print("done")
+            """)
+        path = tmp_path / "irm_split_radon.py"
+        path.write_text(script)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen([sys.executable, str(path)], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=90)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("IRM on a split radon operator hung")
+        assert proc.returncode == 0, err
+        assert out.strip() == "done"
 
     def test_overflowing_rhs_raises_value_error(self):
         n = 8
