@@ -44,11 +44,20 @@ class ProblemInstance:
             raise ValueError("measurement length must match the forward range")
         if self.structure.range_dim != self.L.range_dim:
             raise ValueError("group structure must tile the regularizer range")
-        check = Rng(0)
-        for op, tol in ((self.A, 1e-8), (self.L, 1e-10)):
-            defect = adjoint_defect(op, check, trials=5)
-            if defect > tol:
-                raise ValueError(f"adjoint defect {defect:.2e} exceeds {tol:.0e}")
+
+
+def _adjoint_checked(problem: ProblemInstance) -> ProblemInstance:
+    """``problem`` once 5-trial adjoint checks of A and L pass.
+
+    The factories run them once per instance they build; they are not in
+    ``__post_init__``, so ``dataclasses.replace`` does not repeat them.
+    """
+    check = Rng(0)
+    for op, tol in ((problem.A, 1e-8), (problem.L, 1e-10)):
+        defect = adjoint_defect(op, check, trials=5)
+        if defect > tol:
+            raise ValueError(f"adjoint defect {defect:.2e} exceeds {tol:.0e}")
+    return problem
 
 
 # Modified Shepp-Logan ellipses: (value, a, b, x0, y0, angle_deg).
@@ -143,7 +152,8 @@ def make_deblur(kernel: str, n: int, noise_frac: float, rng: Rng,
     L, structure = grad_operator(n, n)
     clean = ImageGrid(n, n, A.apply(truth.data))
     y = add_salt_pepper(clean, noise_frac, rng)
-    return ProblemInstance(f"deblur-{kernel}-n{n}", A, L, structure, y.data, truth)
+    return _adjoint_checked(
+        ProblemInstance(f"deblur-{kernel}-n{n}", A, L, structure, y.data, truth))
 
 
 def make_sr(n: int, factor: int, noise_frac: float, rng: Rng,
@@ -157,7 +167,8 @@ def make_sr(n: int, factor: int, noise_frac: float, rng: Rng,
     L, structure = grad_operator(n, n)
     low = ImageGrid(n // factor, n // factor, A.apply(truth.data))
     y = add_salt_pepper(low, noise_frac, rng)
-    return ProblemInstance(f"sr-x{factor}-n{n}", A, L, structure, y.data, truth)
+    return _adjoint_checked(
+        ProblemInstance(f"sr-x{factor}-n{n}", A, L, structure, y.data, truth))
 
 
 def make_ct(n: int, views: int, regularizer: str, noise_sigma: float,
@@ -185,5 +196,5 @@ def make_ct(n: int, views: int, regularizer: str, noise_sigma: float,
     y = sino.copy()
     if noise_sigma > 0:
         y += noise_sigma * float(np.abs(sino).max()) * rng.normal(sino.size)
-    return ProblemInstance(f"ct-{regularizer}-n{n}-v{views}", A, L, structure,
-                           y, truth)
+    return _adjoint_checked(
+        ProblemInstance(f"ct-{regularizer}-n{n}-v{views}", A, L, structure, y, truth))

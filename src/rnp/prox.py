@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .core import Rng
 from .linops import GroupStructure, LinearOperator, operator_norm_sq
@@ -31,6 +32,7 @@ __all__ = [
     "mixed_norm_value",
     "group_pairing",
     "weighted_op_norm_sq",
+    "NewtonState",
     "wpm_structured",
     "wpm_mixed_dual",
     "dual_exponent",
@@ -68,7 +70,12 @@ def project_box(x: np.ndarray, box: BoxConstraint) -> np.ndarray:
 
 
 class SeparableProx:
-    """Componentwise proximal map plus a diagonal Clarke-subdifferential element."""
+    """Componentwise proximal map plus a diagonal Clarke-subdifferential element.
+
+    ``slope`` returns a boolean array where every element is 0 or 1 (the
+    Newton Jacobian memo in :class:`NewtonState` works only on those) and a
+    float array otherwise.
+    """
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -82,7 +89,7 @@ class IdentityProx(SeparableProx):
         return np.asarray(u, dtype=np.float64).copy()
 
     def slope(self, u):
-        return np.ones_like(u)
+        return np.ones(np.shape(u), dtype=bool)
 
 
 class BoxProx(SeparableProx):
@@ -94,7 +101,7 @@ class BoxProx(SeparableProx):
 
     def slope(self, u):
         # 0 on the active boundary keeps the Newton Jacobian PSD
-        return ((u > self.box.lo) & (u < self.box.hi)).astype(np.float64)
+        return (u > self.box.lo) & (u < self.box.hi)
 
 
 class SoftThresholdProx(SeparableProx):
@@ -107,7 +114,7 @@ class SoftThresholdProx(SeparableProx):
         return soft_threshold(u, self.tau)
 
     def slope(self, u):
-        return (np.abs(u) > self.tau).astype(np.float64)
+        return np.abs(u) > self.tau
 
 
 class SoftThresholdBoxProx(SeparableProx):
@@ -122,7 +129,7 @@ class SoftThresholdBoxProx(SeparableProx):
 
     def slope(self, u):
         s = self.inner(u)
-        return self.inner.slope(u) * ((s > self.box.lo) & (s < self.box.hi))
+        return self.inner.slope(u) & (s > self.box.lo) & (s < self.box.hi)
 
 
 def dual_exponent(phi) -> float:
@@ -253,10 +260,12 @@ def _newton_jacobian(ubar: np.ndarray, gram: np.ndarray, slope: np.ndarray,
     pixels inside the box, while a soft threshold with a small weight often
     passes every coefficient, leaving just the Gram.
     """
-    on = slope == 1.0
-    if not np.array_equal(slope, on):
-        weighted = ubar.T @ (slope[:, None] * ubar)
-    elif 2 * np.count_nonzero(on) <= slope.size:
+    on = slope
+    if slope.dtype != bool:
+        on = slope == 1.0
+        if not np.array_equal(slope, on):
+            return np.eye(ubar.shape[1]) + sign * (ubar.T @ (slope[:, None] * ubar))
+    if 2 * np.count_nonzero(on) <= slope.size:
         rows = ubar[on]
         weighted = rows.T @ rows
     else:
@@ -265,10 +274,68 @@ def _newton_jacobian(ubar: np.ndarray, gram: np.ndarray, slope: np.ndarray,
     return np.eye(ubar.shape[1]) + sign * weighted
 
 
+class NewtonState:
+    """Newton state shared by the P-metric proximal maps of one solve.
+
+    ``gamma`` is the root of the last map; the caller passes it as
+    ``gamma0`` to the next :func:`wpm_structured` call and stores the root
+    that call returns.  The Jacobian memo keeps the last boolean slope and
+    its Jacobian for one (Ubar, sign): when at most 1/8 of the rows change
+    slope, the next Jacobian is the last one plus
+    sign * Ubar_c' diag(+-1) Ubar_c over the changed rows c (+1 where a row
+    turns on), a product over a few rows instead of up to half of Ubar.
+    Otherwise, or for another Ubar or sign, the Jacobian is rebuilt; a
+    slope that is not boolean always rebuilds and drops the memo.
+
+    Make one per solve and pass it to each call: a fresh state makes a
+    repeated solve bit-identical, and solves that run at the same time need
+    one each.
+    """
+
+    def __init__(self):
+        self.gamma: np.ndarray | None = None
+        self._key: tuple[np.ndarray, int] | None = None  # (Ubar, sign) of the memo
+        self._slope: np.ndarray | None = None
+        self._jac: np.ndarray | None = None
+
+    def jacobian(self, ubar: np.ndarray, gram: np.ndarray, slope: np.ndarray,
+                 sign: int) -> np.ndarray:
+        """I + sign * Ubar' diag(slope) Ubar, as a rank update of the memo when
+        few slopes changed, else from :func:`_newton_jacobian`."""
+        binary = slope.dtype == bool
+        if (binary and self._key is not None and self._key[0] is ubar
+                and self._key[1] == sign):
+            changed = np.flatnonzero(slope != self._slope)
+            if 8 * changed.size <= slope.size:
+                if changed.size:
+                    rows = ubar[changed]
+                    flips = np.where(slope[changed], 1.0, -1.0)
+                    self._jac = self._jac + sign * (rows.T @ (flips[:, None] * rows))
+                self._slope = slope
+                return self._jac
+        jac = _newton_jacobian(ubar, gram, slope, sign)
+        if binary:
+            self._key, self._slope, self._jac = (ubar, sign), slope, jac
+        else:
+            self._key = self._slope = self._jac = None
+        return jac
+
+
+def _newton_step(jac: np.ndarray, resid: np.ndarray, sign: int) -> np.ndarray:
+    """jac^-1 resid: Cholesky (LAPACK posv) for sign +1, where jac >= I, and
+    LU if posv reports a failure; LU for sign -1."""
+    if sign == 1:
+        _, step, info = dposv(jac, resid)
+        if info == 0:
+            return step
+    return np.linalg.solve(jac, resid)
+
+
 def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
                    sign: int = 1, tol: float = 1e-10, max_iter: int = 100,
                    gram: np.ndarray | None = None,
-                   gamma0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   gamma0: np.ndarray | None = None,
+                   newton: NewtonState | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Proximal map in the metric W = I + sign * Ubar Ubar'.
 
     Solves the r-dimensional root problem
@@ -277,15 +344,20 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
     I + sign * Ubar' diag(slope) Ubar, falling back to damped fixed-point
     steps of length 1 / (1 + lambda_max(Ubar'Ubar)) whenever a Newton
     candidate fails to shrink the residual; that step length is computed
-    only once a fallback step happens.
+    only once a fallback step happens.  For sign +1 the Jacobian is >= I,
+    so each Newton step solves it by Cholesky (LU if that fails); sign -1
+    uses LU.
 
     ``gram`` is Ubar'Ubar; callers that reuse one Ubar across many calls
     pass it (``Preconditioner.gram``), otherwise it is computed here.  When
     every slope is 0 or 1 the Jacobian is built from the smaller row set:
     I + sign * U_on'U_on while at most half the slopes are 1, else
-    I + sign * (Ubar'Ubar - U_off'U_off).  ``gamma0`` starts the Newton
-    iteration from a nearby root (such as the previous call's gamma for a
-    nearby x) instead of zero.  Returns (prox value, gamma).
+    I + sign * (Ubar'Ubar - U_off'U_off).  With ``newton`` (a
+    :class:`NewtonState`) the Jacobian comes from its memo instead, as a
+    rank update of the last one, across Newton steps and across calls.
+    ``gamma0`` starts the Newton iteration from a nearby root (such as the
+    previous call's gamma for a nearby x) instead of zero.  Returns
+    (prox value, gamma).
     """
     x = np.asarray(x, dtype=np.float64)
     ubar = np.asarray(ubar, dtype=np.float64)
@@ -296,6 +368,7 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
         raise ValueError("sign must be +1 or -1")
     if gram is None:
         gram = ubar.T @ ubar
+    jacobian = newton.jacobian if newton is not None else _newton_jacobian
     lip = None
 
     def state(gamma):
@@ -314,8 +387,8 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
     for _ in range(max_iter):
         if res_norm <= tol:
             return u, gamma
-        jac = _newton_jacobian(ubar, gram, prox_d.slope(inner), sign)
-        candidate = gamma - np.linalg.solve(jac, resid)
+        jac = jacobian(ubar, gram, prox_d.slope(inner), sign)
+        candidate = gamma - _newton_step(jac, resid, sign)
         cand_state = state(candidate)
         if cand_state[3] < res_norm:
             gamma, (inner, u, resid, res_norm) = candidate, cand_state
@@ -334,7 +407,8 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
                    inner_tol: float = 1e-6, inner_max: int = 200,
                    q0: np.ndarray | None = None,
                    l_norm_sq: float | None = None,
-                   wpm_tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray, int]:
+                   wpm_tol: float = 1e-11,
+                   newton: NewtonState | None = None) -> tuple[np.ndarray, np.ndarray, int]:
     """Mixed-norm weighted proximal map via accelerated ascent on its dual.
 
     Computes argmin_{x in box} 0.5*||x - s||_P^2 + lam_bar*||L x||_{1,phi}
@@ -346,23 +420,28 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     pass Q back as ``q0`` to warm-start the next call.
 
     With a preconditioner each box projection is a :func:`wpm_structured`
-    call that reuses ``pre.gram`` and starts its Newton iteration from the
-    previous projection's gamma within this call; the returned values do
-    not carry gamma, so separate calls start from zero.
+    call that reuses ``pre.gram`` and shares ``newton``: it starts its
+    Newton iteration from the previous projection's gamma and takes its
+    Jacobians from the memo as rank updates of the previous one (see
+    :class:`NewtonState`), each solved by Cholesky.  A solver passes one
+    state to all its calls, so both carry across outer iterations; without
+    one, this call makes a fresh state and its first projection starts
+    from zero.
     """
     s = np.asarray(s, dtype=np.float64)
     if lam_bar < 0:
         raise ValueError("lam_bar must be nonnegative")
 
     structured = pre is not None and pre.rank > 0
-    gamma = None  # root of the previous box prox; the next one starts from it
+    if newton is None:
+        newton = NewtonState()
 
     def prox_p_box(v):
-        nonlocal gamma
         if not structured:
             return box.project(v)
-        u, gamma = wpm_structured(BoxProx(box), v, pre.Ubar, 1, tol=wpm_tol,
-                                  gram=pre.gram, gamma0=gamma)
+        u, newton.gamma = wpm_structured(BoxProx(box), v, pre.Ubar, 1, tol=wpm_tol,
+                                         gram=pre.gram, gamma0=newton.gamma,
+                                         newton=newton)
         return u
 
     if lam_bar == 0.0:

@@ -152,7 +152,6 @@ class Preconditioner:
     sqrt_tail: bool
     # diag of U'(P)U relative to identity: P = I + U diag(d - 1) U'
     d: np.ndarray = field(repr=False)
-    Ubar: np.ndarray = field(repr=False)  # columns scaled so P ~ I + Ubar Ubar'
 
     @property
     def dim(self) -> int:
@@ -161,6 +160,15 @@ class Preconditioner:
     @property
     def rank(self) -> int:
         return self.factor.rank
+
+    @cached_property
+    def Ubar(self) -> np.ndarray:
+        """U's columns scaled by sqrt(d - 1), so P ~ I + Ubar Ubar'; columns
+        with d < 1 are dropped (the full form still drives apply_P and
+        friends).  Computed on first use, since IRM never asks for it."""
+        radicand = self.d - 1.0
+        keep = radicand >= 0.0
+        return self.factor.U[:, keep] * np.sqrt(radicand[keep])
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -201,17 +209,13 @@ def build_preconditioner(factor: NystromFactor, mu: float,
 
     With sqrt_tail the tail value s_K is replaced by sqrt(s_K), which keeps
     the last sketched direction active; directions whose scaled eigenvalue
-    falls below 1 are dropped from Ubar (the full form still drives apply_P
-    and friends).
+    falls below 1 are dropped from ``Ubar``.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
     tail = float(np.sqrt(factor.s_K)) if sqrt_tail else float(factor.s_K)
     d = (factor.S_hat + mu) / (tail + mu)
-    radicand = d - 1.0
-    keep = radicand >= 0.0
-    ubar = factor.U[:, keep] * np.sqrt(radicand[keep])
-    return Preconditioner(factor, float(mu), tail, sqrt_tail, d, ubar)
+    return Preconditioner(factor, float(mu), tail, sqrt_tail, d)
 
 
 def effective_dimension(phi: np.ndarray, mu: float) -> float:

@@ -16,7 +16,7 @@ from .core import ImageGrid, Rng, psnr, standard_normal_matrix
 from .krylov import cg, pcg  # noqa: F401  (unused; bench/spans.py wraps rnp.solvers.cg)
 from .linops import (DiagonalWeight, GroupStructure, LinearOperator, compose,
                      gram_operator, operator_norm_sq, spare_pool, transpose)
-from .prox import (BoxConstraint, SoftThresholdProx, weighted_op_norm_sq,
+from .prox import (BoxConstraint, NewtonState, SoftThresholdProx, weighted_op_norm_sq,
                    mixed_norm_value, wpm_mixed_dual, wpm_structured)
 from .sketch import Preconditioner, build_preconditioner, nystrom_approx
 
@@ -357,8 +357,9 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
                x0: Optional[np.ndarray] = None) -> tuple[np.ndarray, SolverTrace]:
     """Accelerated proximal gradient in the metric of ``pre`` (identity when
     None).  The dual state of the mixed-norm proximal subproblem is warm
-    started across outer iterations; the separable mode needs no inner loop.
-    Returns the solution in the image domain.
+    started across outer iterations, and so is the Newton state of its box
+    projections (one ``NewtonState`` per solve); the separable mode needs
+    no inner loop.  Returns the solution in the image domain.
     """
     fwd = _effective_forward(problem, cfg)
     y = problem.y
@@ -378,6 +379,7 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
     u = x.copy()
     t_prev = 1.0
     q_dual = None
+    newton = NewtonState()
     trace = SolverTrace()
     # backdate the clock so elapsed_s accounts for the up-front sketch
     start = time.perf_counter() - sketch_seconds
@@ -393,7 +395,7 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
             x_next, q_dual, inner = wpm_mixed_dual(
                 s, tau, problem.L, problem.structure, cfg.phi, pre, cfg.box,
                 inner_tol=cfg.inner_tol, inner_max=cfg.inner_max, q0=q_dual,
-                l_norm_sq=l_norm_sq)
+                l_norm_sq=l_norm_sq, newton=newton)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
         u = x_next + ((t_prev - 1.0) / t_next) * (x_next - x)
         x, t_prev = x_next, t_next

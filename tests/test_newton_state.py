@@ -1,0 +1,152 @@
+"""The Newton state of the P-metric box prox: Jacobian memo, per-solve
+state in WAPG, and the Cholesky step."""
+
+import sys
+import threading
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rnp import prox
+from rnp.core import Rng, standard_normal_matrix
+from rnp.problems import make_ct
+from rnp.prox import BoxConstraint, NewtonState, _newton_jacobian, _newton_step
+from rnp.solvers import WapgConfig, build_wapg_preconditioner, wapg_solve
+
+
+class TestJacobianMemo:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31), sign=st.sampled_from([1, -1]),
+           flips=st.lists(st.integers(0, 24), min_size=2, max_size=12),
+           fractional_at=st.integers(0, 11))
+    def test_memo_matches_rebuild(self, seed, sign, flips, fractional_at):
+        # n = 64 puts the 1/8 cut at 8 changed rows, so flip counts up to 24
+        # take both the rank update and the rebuild
+        rng = Rng(seed)
+        n, r = 64, 5
+        ubar = standard_normal_matrix(n, r, rng)
+        gram = ubar.T @ ubar
+        state = NewtonState()
+        slope = rng.uniform(n) < 0.5
+        for step, count in enumerate(flips):
+            if step == fractional_at:
+                current = rng.uniform(n)
+            else:
+                slope = slope.copy()
+                slope[rng.permutation(n)[:count]] ^= True
+                current = slope
+            jac = state.jacobian(ubar, gram, current, sign)
+            ref = _newton_jacobian(ubar, gram, current, sign)
+            assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_few_flips_update_many_flips_rebuild(self, monkeypatch):
+        rng = Rng(50)
+        n, r = 64, 4
+        ubar = standard_normal_matrix(n, r, rng)
+        gram = ubar.T @ ubar
+        builds = []
+        monkeypatch.setattr(prox, "_newton_jacobian",
+                            lambda *a: builds.append(1) or _newton_jacobian(*a))
+        state = NewtonState()
+        slope = rng.uniform(n) < 0.5
+        state.jacobian(ubar, gram, slope, 1)
+        assert len(builds) == 1
+        few = slope.copy()
+        few[:8] ^= True  # exactly 1/8 of the rows: rank update
+        state.jacobian(ubar, gram, few, 1)
+        assert len(builds) == 1
+        many = few.copy()
+        many[:9] ^= True  # 9 > n/8 rows changed: rebuild
+        state.jacobian(ubar, gram, many, 1)
+        assert len(builds) == 2
+        state.jacobian(ubar, gram, many, -1)  # another sign: rebuild
+        assert len(builds) == 3
+        state.jacobian(ubar.copy(), gram, many, -1)  # another Ubar: rebuild
+        assert len(builds) == 4
+        state.jacobian(ubar, gram, many.astype(float), 1)  # not boolean: rebuild, drop
+        state.jacobian(ubar, gram, many, 1)
+        assert len(builds) == 6
+
+
+def _tv_solve():
+    problem = make_ct(32, 20, "tv", 0.01, Rng(60))
+    cfg = WapgConfig(lam=0.05, sketch_size=8, outer_max=15, box=BoxConstraint(0.0, 1.0))
+    rng = Rng(61)
+    pre, _ = build_wapg_preconditioner(problem, cfg, rng.spawn(0))
+    return wapg_solve(problem, cfg, pre, rng.spawn(1))
+
+
+class TestNewtonStatePerSolve:
+    def test_repeats_and_concurrent_solves_are_bit_identical(self):
+        img, trace = _tv_solve()
+        img2, trace2 = _tv_solve()
+        assert np.array_equal(img, img2)
+        assert np.array_equal(trace.costs, trace2.costs)
+        assert np.array_equal(trace.inner_iters, trace2.inner_iters)
+        results = [None] * 4
+
+        def run(i):
+            results[i] = _tv_solve()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the solves finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for got_img, got_trace in results:
+            assert np.array_equal(got_img, img)
+            assert np.array_equal(got_trace.costs, trace.costs)
+            assert np.array_equal(got_trace.inner_iters, trace.inner_iters)
+
+    def test_memo_matches_rebuilding_every_jacobian(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(prox, "_newton_jacobian",
+                            lambda *a: builds.append(1) or _newton_jacobian(*a))
+        steps = []
+        memo_jacobian = NewtonState.jacobian
+
+        def counting(self, *a):
+            steps.append(1)
+            return memo_jacobian(self, *a)
+
+        monkeypatch.setattr(NewtonState, "jacobian", counting)
+        _, trace = _tv_solve()
+        assert 0 < len(builds) < len(steps)  # the memo served some steps
+        monkeypatch.setattr(NewtonState, "jacobian",
+                            lambda self, *a: _newton_jacobian(*a))
+        _, rebuilt = _tv_solve()
+        assert np.array_equal(trace.inner_iters, rebuilt.inner_iters)
+        assert np.allclose(trace.costs, rebuilt.costs, rtol=1e-9, atol=0)
+
+
+class TestNewtonStep:
+    def test_cholesky_matches_lu_for_sign_plus(self):
+        rng = Rng(70)
+        ubar = standard_normal_matrix(40, 6, rng)
+        jac = _newton_jacobian(ubar, ubar.T @ ubar, rng.uniform(40) < 0.5, 1)
+        resid = rng.normal(6)
+        chol = _newton_step(jac, resid, 1)
+        lu = np.linalg.solve(jac, resid)
+        assert np.abs(chol - lu).max() <= 1e-12 * np.abs(lu).max()
+
+    def test_sign_minus_and_failed_cholesky_take_lu(self, monkeypatch):
+        calls = []
+        posv = prox.dposv
+        monkeypatch.setattr(prox, "dposv", lambda *a: calls.append(1) or posv(*a))
+        rng = Rng(71)
+        ubar = 0.3 * standard_normal_matrix(40, 6, rng)
+        jac = _newton_jacobian(ubar, ubar.T @ ubar, rng.uniform(40) < 0.5, -1)
+        resid = rng.normal(6)
+        assert np.array_equal(_newton_step(jac, resid, -1), np.linalg.solve(jac, resid))
+        assert not calls
+        indefinite = np.diag([1.0, -1.0])
+        step = _newton_step(indefinite, np.ones(2), 1)
+        assert calls and np.array_equal(step, np.linalg.solve(indefinite, np.ones(2)))
+
