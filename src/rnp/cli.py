@@ -141,7 +141,6 @@ def _run_task(command: str, args) -> int:
     lam_grid = args.lambda_grid or ((args.lam,) if args.lam is not None
                                     else _default_lam(command, args))
     sketch_sizes = args.K if args.K is not None else _default_k(command, args)
-    sqrt_tail = None if args.sqrt_tail is None else args.sqrt_tail == "on"
     variant = {"deblur": lambda: args.kernel, "sr": lambda: f"x{args.factor}",
                "ct": lambda: args.reg}[command]()
     spec = ExperimentSpec(
@@ -166,7 +165,7 @@ def _run_task(command: str, args) -> int:
         inner_tol=args.tol,
         box_lo=0.0 if command == "ct" else -math.inf,
         box_hi=1.0 if command == "ct" else math.inf,
-        sqrt_tail=sqrt_tail,
+        sqrt_tail=args.sqrt_tail == "on",
         jobs=args.jobs,
     )
     results = run_experiment(spec)

@@ -1,4 +1,4 @@
-"""Deterministic randomness, image grids, norms, and quality metrics.
+"""Deterministic randomness, image grids, and quality metrics.
 
 Everything here operates on plain float64 numpy arrays.  Dense matrices used
 by test oracles are ordinary 2-D ndarrays; images travel as :class:`ImageGrid`
@@ -20,8 +20,6 @@ __all__ = [
     "Rng",
     "ImageGrid",
     "standard_normal_matrix",
-    "lp_power",
-    "weighted_norm",
     "psnr",
     "write_pgm",
     "write_raw",
@@ -141,25 +139,6 @@ def standard_normal_matrix(n: int, k: int, rng: Rng,
     _normals_into(bits[:half], out[:half])
     rest.result()
     return out.reshape(k, n).T
-
-
-def lp_power(v: np.ndarray, p: float) -> float:
-    """sum_i |v_i|**p for p in (0, 2]."""
-    if not 0.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (0, 2], got {p}")
-    v = np.asarray(v, dtype=np.float64)
-    if p == 2.0:
-        return float(np.dot(v, v))
-    return float(np.sum(np.abs(v) ** p))
-
-
-def weighted_norm(v: np.ndarray, w_apply) -> float:
-    """sqrt(v' W v) for a symmetric positive-definite map W."""
-    v = np.asarray(v, dtype=np.float64)
-    quad = float(np.dot(v, w_apply(v)))
-    if quad < -1e-12 * (1.0 + float(np.dot(v, v))):
-        raise ValueError(f"negative quadratic form ({quad}); weight map is not PSD")
-    return float(np.sqrt(max(quad, 0.0)))
 
 
 def psnr(x: ImageGrid, ref: ImageGrid, peak: float = 1.0) -> float:

@@ -69,7 +69,7 @@ class ExperimentSpec:
     inner_max: int = 200
     box_lo: float = -math.inf
     box_hi: float = math.inf
-    sqrt_tail: Optional[bool] = None  # None: solver-appropriate default
+    sqrt_tail: bool = False
     jobs: int = 1
 
     def __post_init__(self):
@@ -133,7 +133,7 @@ def _run_one(spec: ExperimentSpec, lam: float, K: int, seed: int,
             cfg = IrmConfig(p=spec.p, q=spec.q, lam=lam, outer_max=spec.outer_max,
                             inner_tol=spec.inner_tol if spec.inner_tol is not None else 1e-4,
                             inner_max=spec.inner_max, sketch_size=K,
-                            sqrt_tail=bool(spec.sqrt_tail) if spec.sqrt_tail is not None else False)
+                            sqrt_tail=spec.sqrt_tail)
             _, trace = irm_solve(problem, cfg, rng)
         else:
             cfg = WapgConfig(lam=lam, phi=spec.phi, sketch_size=K,
@@ -142,7 +142,7 @@ def _run_one(spec: ExperimentSpec, lam: float, K: int, seed: int,
                              prox_mode="separable" if spec.regularizer == "wavelet" else "dual",
                              inner_tol=spec.inner_tol if spec.inner_tol is not None else 1e-6,
                              inner_max=spec.inner_max,
-                             sqrt_tail=bool(spec.sqrt_tail) if spec.sqrt_tail is not None else False)
+                             sqrt_tail=spec.sqrt_tail)
             pre, sketch_s = build_wapg_preconditioner(problem, cfg, rng.spawn(0))
             _, trace = wapg_solve(problem, cfg, pre, rng.spawn(1), sketch_seconds=sketch_s)
         # wall time is the trace's final elapsed_s (sketching included), so

@@ -22,12 +22,9 @@ from .sketch import Preconditioner
 __all__ = [
     "BoxConstraint",
     "SeparableProx",
-    "IdentityProx",
     "BoxProx",
     "SoftThresholdProx",
-    "SoftThresholdBoxProx",
     "soft_threshold",
-    "project_box",
     "project_group_ball",
     "mixed_norm_value",
     "group_pairing",
@@ -50,10 +47,6 @@ class BoxConstraint:
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def unbounded(self) -> bool:
-        return math.isinf(self.lo) and math.isinf(self.hi)
-
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=np.float64), self.lo, self.hi)
 
@@ -65,16 +58,12 @@ def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
-def project_box(x: np.ndarray, box: BoxConstraint) -> np.ndarray:
-    return box.project(x)
-
-
 class SeparableProx:
     """Componentwise proximal map plus a diagonal Clarke-subdifferential element.
 
-    ``slope`` returns a boolean array where every element is 0 or 1 (the
-    Newton Jacobian memo in :class:`NewtonState` works only on those) and a
-    float array otherwise.
+    ``slope`` returns a boolean array: each map here is piecewise linear
+    with slopes 0 and 1, and :class:`NewtonState` builds its Jacobians from
+    that split of the rows.
     """
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -82,14 +71,6 @@ class SeparableProx:
 
     def slope(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-
-class IdentityProx(SeparableProx):
-    def __call__(self, u):
-        return np.asarray(u, dtype=np.float64).copy()
-
-    def slope(self, u):
-        return np.ones(np.shape(u), dtype=bool)
 
 
 class BoxProx(SeparableProx):
@@ -115,21 +96,6 @@ class SoftThresholdProx(SeparableProx):
 
     def slope(self, u):
         return np.abs(u) > self.tau
-
-
-class SoftThresholdBoxProx(SeparableProx):
-    """prox of tau*|.| + indicator of a box (shrink, then clamp)."""
-
-    def __init__(self, tau: float, box: BoxConstraint):
-        self.inner = SoftThresholdProx(tau)
-        self.box = box
-
-    def __call__(self, u):
-        return self.box.project(self.inner(u))
-
-    def slope(self, u):
-        s = self.inner(u)
-        return self.inner.slope(u) & (s > self.box.lo) & (s < self.box.hi)
 
 
 def dual_exponent(phi) -> float:
@@ -251,21 +217,16 @@ def weighted_op_norm_sq(op: LinearOperator, structure: GroupStructure,
 # ---------------------------------------------------------------------------
 
 
-def _newton_jacobian(ubar: np.ndarray, gram: np.ndarray, slope: np.ndarray,
+def _newton_jacobian(ubar: np.ndarray, gram: np.ndarray, on: np.ndarray,
                      sign: int) -> np.ndarray:
-    """I + sign * Ubar' diag(slope) Ubar, from the smaller row set when every
-    slope is 0 or 1 (``gram`` is Ubar'Ubar).
+    """I + sign * Ubar' diag(on) Ubar for a boolean slope ``on``, from the
+    smaller row set (``gram`` is Ubar'Ubar).
 
     Both sides occur: a box prox over an image keeps roughly half its
     pixels inside the box, while a soft threshold with a small weight often
     passes every coefficient, leaving just the Gram.
     """
-    on = slope
-    if slope.dtype != bool:
-        on = slope == 1.0
-        if not np.array_equal(slope, on):
-            return np.eye(ubar.shape[1]) + sign * (ubar.T @ (slope[:, None] * ubar))
-    if 2 * np.count_nonzero(on) <= slope.size:
+    if 2 * np.count_nonzero(on) <= on.size:
         rows = ubar[on]
         weighted = rows.T @ rows
     else:
@@ -275,50 +236,47 @@ def _newton_jacobian(ubar: np.ndarray, gram: np.ndarray, slope: np.ndarray,
 
 
 class NewtonState:
-    """Newton state shared by the P-metric proximal maps of one solve.
+    """Newton state of the proximal maps in the metric I + sign * Ubar Ubar'.
 
-    ``gamma`` is the root of the last map; the caller passes it as
-    ``gamma0`` to the next :func:`wpm_structured` call and stores the root
-    that call returns.  The Jacobian memo keeps the last boolean slope and
-    its Jacobian for one (Ubar, sign): when at most 1/8 of the rows change
-    slope, the next Jacobian is the last one plus
-    sign * Ubar_c' diag(+-1) Ubar_c over the changed rows c (+1 where a row
-    turns on), a product over a few rows instead of up to half of Ubar.
-    Otherwise, or for another Ubar or sign, the Jacobian is rebuilt; a
-    slope that is not boolean always rebuilds and drops the memo.
+    A state belongs to one (Ubar, sign) and holds ``gram`` = Ubar'Ubar
+    (pass ``Preconditioner.gram`` or let it be computed once), ``gamma``,
+    the root of the last map, from which the next :func:`wpm_structured`
+    call starts, and a Jacobian memo: the last slope and its Jacobian.
+    When at most 1/8 of the rows change slope, the next Jacobian is the
+    last one plus sign * Ubar_c' diag(+-1) Ubar_c over the changed rows c
+    (+1 where a row turns on), a product over a few rows instead of up to
+    half of Ubar; otherwise :func:`_newton_jacobian` rebuilds it.
 
     Make one per solve and pass it to each call: a fresh state makes a
     repeated solve bit-identical, and solves that run at the same time need
     one each.
     """
 
-    def __init__(self):
-        self.gamma: np.ndarray | None = None
-        self._key: tuple[np.ndarray, int] | None = None  # (Ubar, sign) of the memo
+    def __init__(self, ubar: np.ndarray, sign: int = 1, gram: np.ndarray | None = None):
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        self.ubar = np.asarray(ubar, dtype=np.float64)
+        self.sign = sign
+        self.gram = self.ubar.T @ self.ubar if gram is None else gram
+        self.gamma = np.zeros(self.ubar.shape[1])
         self._slope: np.ndarray | None = None
         self._jac: np.ndarray | None = None
 
-    def jacobian(self, ubar: np.ndarray, gram: np.ndarray, slope: np.ndarray,
-                 sign: int) -> np.ndarray:
+    def jacobian(self, slope: np.ndarray) -> np.ndarray:
         """I + sign * Ubar' diag(slope) Ubar, as a rank update of the memo when
         few slopes changed, else from :func:`_newton_jacobian`."""
-        binary = slope.dtype == bool
-        if (binary and self._key is not None and self._key[0] is ubar
-                and self._key[1] == sign):
+        if self._slope is not None:
             changed = np.flatnonzero(slope != self._slope)
             if 8 * changed.size <= slope.size:
                 if changed.size:
-                    rows = ubar[changed]
+                    rows = self.ubar[changed]
                     flips = np.where(slope[changed], 1.0, -1.0)
-                    self._jac = self._jac + sign * (rows.T @ (flips[:, None] * rows))
+                    self._jac = self._jac + self.sign * (rows.T @ (flips[:, None] * rows))
                 self._slope = slope
                 return self._jac
-        jac = _newton_jacobian(ubar, gram, slope, sign)
-        if binary:
-            self._key, self._slope, self._jac = (ubar, sign), slope, jac
-        else:
-            self._key = self._slope = self._jac = None
-        return jac
+        self._slope = slope
+        self._jac = _newton_jacobian(self.ubar, self.gram, slope, self.sign)
+        return self._jac
 
 
 def _newton_step(jac: np.ndarray, resid: np.ndarray, sign: int) -> np.ndarray:
@@ -333,8 +291,6 @@ def _newton_step(jac: np.ndarray, resid: np.ndarray, sign: int) -> np.ndarray:
 
 def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
                    sign: int = 1, tol: float = 1e-10, max_iter: int = 100,
-                   gram: np.ndarray | None = None,
-                   gamma0: np.ndarray | None = None,
                    newton: NewtonState | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Proximal map in the metric W = I + sign * Ubar Ubar'.
 
@@ -348,57 +304,51 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
     so each Newton step solves it by Cholesky (LU if that fails); sign -1
     uses LU.
 
-    ``gram`` is Ubar'Ubar; callers that reuse one Ubar across many calls
-    pass it (``Preconditioner.gram``), otherwise it is computed here.  When
-    every slope is 0 or 1 the Jacobian is built from the smaller row set:
-    I + sign * U_on'U_on while at most half the slopes are 1, else
-    I + sign * (Ubar'Ubar - U_off'U_off).  With ``newton`` (a
-    :class:`NewtonState`) the Jacobian comes from its memo instead, as a
-    rank update of the last one, across Newton steps and across calls.
-    ``gamma0`` starts the Newton iteration from a nearby root (such as the
-    previous call's gamma for a nearby x) instead of zero.  Returns
-    (prox value, gamma).
+    ``newton`` is the :class:`NewtonState` of this (Ubar, sign), made fresh
+    when not given: Newton starts from its gamma, takes its Jacobians from
+    its memo, and stores the root it finds, so a solver that passes one
+    state to every call starts each map from the last root.  A state of
+    another Ubar or sign raises ValueError.  Returns (prox value, gamma).
     """
     x = np.asarray(x, dtype=np.float64)
     ubar = np.asarray(ubar, dtype=np.float64)
     r = ubar.shape[1] if ubar.ndim == 2 else 0
     if r == 0:
         return prox_d(x), np.zeros(0)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if gram is None:
-        gram = ubar.T @ ubar
-    jacobian = newton.jacobian if newton is not None else _newton_jacobian
+    if newton is None:
+        newton = NewtonState(ubar, sign)
+    elif newton.ubar is not ubar or newton.sign != sign:
+        raise ValueError("the Newton state belongs to another Ubar or sign")
     lip = None
 
-    def state(gamma):
+    def evaluate(gamma):
         inner = x - sign * (ubar @ gamma)
         u = prox_d(inner)
         resid = ubar.T @ (x - u) + gamma
         return inner, u, resid, float(np.linalg.norm(resid))
 
-    if gamma0 is None:
-        gamma = np.zeros(r)
-    else:
-        gamma = np.array(gamma0, dtype=np.float64)
-        if gamma.shape != (r,):
-            raise ValueError(f"gamma0 must have shape ({r},), got {gamma.shape}")
-    inner, u, resid, res_norm = state(gamma)
+    gamma = newton.gamma
+    inner, u, resid, res_norm = evaluate(gamma)
     for _ in range(max_iter):
         if res_norm <= tol:
+            newton.gamma = gamma
             return u, gamma
-        jac = jacobian(ubar, gram, prox_d.slope(inner), sign)
+        jac = newton.jacobian(prox_d.slope(inner))
         candidate = gamma - _newton_step(jac, resid, sign)
-        cand_state = state(candidate)
+        cand_state = evaluate(candidate)
         if cand_state[3] < res_norm:
             gamma, (inner, u, resid, res_norm) = candidate, cand_state
         else:
             if lip is None:
-                lip = 1.0 + float(np.linalg.eigvalsh(gram).max())
+                lip = 1.0 + float(np.linalg.eigvalsh(newton.gram).max())
             gamma = gamma - resid / lip
-            inner, u, resid, res_norm = state(gamma)
+            inner, u, resid, res_norm = evaluate(gamma)
     raise RuntimeError(
         f"weighted prox did not converge in {max_iter} iterations (residual {res_norm:.3e})")
+
+
+# tolerance of each box projection inside the dual ascent
+_WPM_TOL = 1e-11
 
 
 def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
@@ -407,7 +357,6 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
                    inner_tol: float = 1e-6, inner_max: int = 200,
                    q0: np.ndarray | None = None,
                    l_norm_sq: float | None = None,
-                   wpm_tol: float = 1e-11,
                    newton: NewtonState | None = None) -> tuple[np.ndarray, np.ndarray, int]:
     """Mixed-norm weighted proximal map via accelerated ascent on its dual.
 
@@ -420,29 +369,27 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     pass Q back as ``q0`` to warm-start the next call.
 
     With a preconditioner each box projection is a :func:`wpm_structured`
-    call that reuses ``pre.gram`` and shares ``newton``: it starts its
-    Newton iteration from the previous projection's gamma and takes its
-    Jacobians from the memo as rank updates of the previous one (see
-    :class:`NewtonState`), each solved by Cholesky.  A solver passes one
-    state to all its calls, so both carry across outer iterations; without
-    one, this call makes a fresh state and its first projection starts
-    from zero.
+    call to tolerance 1e-11 that shares ``newton``, the
+    :class:`NewtonState` of ``pre.Ubar`` with sign +1: it starts its Newton
+    iteration from the previous projection's gamma and takes its Jacobians
+    from the memo as rank updates of the previous one, each solved by
+    Cholesky.  A solver passes one state to all its calls, so both carry
+    across outer iterations; without one, this call makes a fresh state
+    from ``pre.gram`` and its first projection starts from zero.
     """
     s = np.asarray(s, dtype=np.float64)
     if lam_bar < 0:
         raise ValueError("lam_bar must be nonnegative")
 
     structured = pre is not None and pre.rank > 0
-    if newton is None:
-        newton = NewtonState()
+    if structured and newton is None:
+        newton = NewtonState(pre.Ubar, gram=pre.gram)
 
     def prox_p_box(v):
         if not structured:
             return box.project(v)
-        u, newton.gamma = wpm_structured(BoxProx(box), v, pre.Ubar, 1, tol=wpm_tol,
-                                         gram=pre.gram, gamma0=newton.gamma,
-                                         newton=newton)
-        return u
+        return wpm_structured(BoxProx(box), v, pre.Ubar, 1, tol=_WPM_TOL,
+                              newton=newton)[0]
 
     if lam_bar == 0.0:
         return prox_p_box(s), np.zeros(L.range_dim), 0

@@ -19,7 +19,6 @@ B'B, so no N x K decomposition is needed.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -38,8 +37,6 @@ __all__ = [
     "build_preconditioner",
     "effective_dimension",
     "recommended_sketch_size",
-    "save_factor",
-    "load_factor",
 ]
 
 MACHINE_EPS = 2.2e-16
@@ -232,34 +229,3 @@ def recommended_sketch_size(d_eff: float) -> int:
     condition number stays below a small constant in expectation."""
     return int(2 * np.ceil(1.5 * d_eff + 1))
 
-
-# ---------------------------------------------------------------------------
-# Optional binary dump for experiment resume: 16-byte header (magic "NYSF",
-# N, K as uint32 LE, 4 reserved bytes), then seed (uint64), shift, s_K,
-# S_hat[K], and U column-major, all little-endian float64.
-# ---------------------------------------------------------------------------
-
-_FACTOR_MAGIC = b"NYSF"
-
-
-def save_factor(factor: NystromFactor, path) -> None:
-    n, k = factor.U.shape
-    with open(path, "wb") as f:
-        f.write(_FACTOR_MAGIC)
-        f.write(struct.pack("<III", n, k, 0))
-        f.write(struct.pack("<Q", factor.seed))
-        f.write(struct.pack("<dd", factor.shift, factor.s_K))
-        f.write(factor.S_hat.astype("<f8").tobytes())
-        f.write(factor.U.astype("<f8").tobytes(order="F"))
-
-
-def load_factor(path) -> NystromFactor:
-    with open(path, "rb") as f:
-        if f.read(4) != _FACTOR_MAGIC:
-            raise ValueError("not a sketch dump")
-        n, k, _ = struct.unpack("<III", f.read(12))
-        (seed,) = struct.unpack("<Q", f.read(8))
-        shift, s_k = struct.unpack("<dd", f.read(16))
-        s_hat = np.frombuffer(f.read(8 * k), dtype="<f8").copy()
-        u = np.frombuffer(f.read(8 * n * k), dtype="<f8").reshape(n, k, order="F").copy()
-    return NystromFactor(u, s_hat, s_k, shift, seed)

@@ -357,9 +357,10 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
                x0: Optional[np.ndarray] = None) -> tuple[np.ndarray, SolverTrace]:
     """Accelerated proximal gradient in the metric of ``pre`` (identity when
     None).  The dual state of the mixed-norm proximal subproblem is warm
-    started across outer iterations, and so is the Newton state of its box
-    projections (one ``NewtonState`` per solve); the separable mode needs
-    no inner loop.  Returns the solution in the image domain.
+    started across outer iterations; so is the Newton state of the P-metric
+    proxes (one ``NewtonState`` per solve), which are the box projections
+    of that dual loop or, in the separable mode, the soft thresholds
+    themselves.  Returns the solution in the image domain.
     """
     fwd = _effective_forward(problem, cfg)
     y = problem.y
@@ -379,7 +380,8 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
     u = x.copy()
     t_prev = 1.0
     q_dual = None
-    newton = NewtonState()
+    ubar = pre.Ubar if pre is not None else np.zeros((n, 0))
+    newton = NewtonState(ubar, gram=pre.gram if pre is not None else None)
     trace = SolverTrace()
     # backdate the clock so elapsed_s accounts for the up-front sketch
     start = time.perf_counter() - sketch_seconds
@@ -387,9 +389,8 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
         grad = fwd.adjoint(fwd.apply(u) - y)
         s = u - alpha * (pre.apply_Pinv(grad) if pre is not None else grad)
         if separable:
-            ubar = pre.Ubar if pre is not None else np.zeros((n, 0))
             x_next, _ = wpm_structured(SoftThresholdProx(tau), s, ubar, 1, tol=1e-11,
-                                       gram=pre.gram if pre is not None else None)
+                                       newton=newton)
             inner = 0
         else:
             x_next, q_dual, inner = wpm_mixed_dual(

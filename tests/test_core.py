@@ -3,9 +3,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from rnp.core import (ImageGrid, Rng, lp_power, psnr, read_raw,
-                      standard_normal_matrix, weighted_norm, write_pgm,
-                      write_raw)
+from rnp.core import (ImageGrid, Rng, psnr, read_raw, standard_normal_matrix,
+                      write_pgm, write_raw)
 
 
 class TestRng:
@@ -71,43 +70,6 @@ class TestRng:
     def test_bad_seed(self):
         with pytest.raises(ValueError):
             Rng(-1)
-
-
-class TestLpPower:
-    def test_examples(self):
-        assert lp_power(np.array([3.0, 4.0]), 2) == pytest.approx(25.0)
-        assert lp_power(np.array([1.0, -1.0]), 1) == pytest.approx(2.0)
-        assert lp_power(np.array([4.0]), 0.5) == pytest.approx(2.0)
-
-    def test_matches_squared_norm_at_p2(self):
-        rng = Rng(11)
-        for _ in range(50):
-            v = rng.normal(37)
-            assert lp_power(v, 2) == pytest.approx(np.dot(v, v), rel=1e-12)
-
-    @pytest.mark.parametrize("p", [0.0, -0.5, 2.1])
-    def test_rejects_bad_exponent(self, p):
-        with pytest.raises(ValueError):
-            lp_power(np.ones(3), p)
-
-
-class TestWeightedNorm:
-    def test_identity_weight_is_euclidean(self):
-        rng = Rng(3)
-        for _ in range(20):
-            v = rng.normal(15)
-            assert weighted_norm(v, lambda x: x) == pytest.approx(
-                np.linalg.norm(v), rel=1e-12)
-
-    def test_examples(self):
-        assert weighted_norm(np.array([1.0, 1.0]), lambda x: x) == pytest.approx(np.sqrt(2))
-        assert weighted_norm(np.zeros(4), lambda x: 3 * x) == 0.0
-        d = np.array([4.0, 9.0])
-        assert weighted_norm(np.array([1.0, 0.0]), lambda x: d * x) == pytest.approx(2.0)
-
-    def test_rejects_indefinite_weight(self):
-        with pytest.raises(ValueError):
-            weighted_norm(np.array([1.0]), lambda x: -x)
 
 
 class TestPsnr:

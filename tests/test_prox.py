@@ -8,13 +8,21 @@ from rnp.core import Rng, standard_normal_matrix
 from rnp.linops import (GroupStructure, LinearOperator, grad_operator,
                         identity_operator, matrix_operator, to_dense)
 from rnp.problems import make_ct
-from rnp.prox import (BoxConstraint, BoxProx, IdentityProx, SoftThresholdProx,
-                      SoftThresholdBoxProx, _newton_jacobian, dual_exponent,
-                      group_pairing, mixed_norm_value, project_box,
-                      project_group_ball, soft_threshold, weighted_op_norm_sq,
-                      wpm_mixed_dual, wpm_structured)
+from rnp.prox import (BoxConstraint, BoxProx, NewtonState, SeparableProx,
+                      SoftThresholdProx, _newton_jacobian, dual_exponent,
+                      group_pairing, mixed_norm_value, project_group_ball,
+                      soft_threshold, weighted_op_norm_sq, wpm_mixed_dual,
+                      wpm_structured)
 from rnp.sketch import NystromFactor, build_preconditioner
 from rnp.solvers import WapgConfig, build_wapg_preconditioner, wapg_solve
+
+
+class IdentityProx(SeparableProx):
+    def __call__(self, u):
+        return np.asarray(u, dtype=np.float64).copy()
+
+    def slope(self, u):
+        return np.ones(np.shape(u), dtype=bool)
 
 
 def difference_1d() -> LinearOperator:
@@ -32,11 +40,11 @@ class TestScalarProx:
     def test_project_box_examples(self):
         box = BoxConstraint(0.0, 1.0)
         inside = np.array([0.2, 0.8])
-        assert np.array_equal(project_box(inside, box), inside)
-        assert np.array_equal(project_box(np.array([-1.0, 2.0]), box), [0.0, 1.0])
+        assert np.array_equal(box.project(inside), inside)
+        assert np.array_equal(box.project(np.array([-1.0, 2.0])), [0.0, 1.0])
         free = BoxConstraint()
         x = Rng(2).normal(5)
-        assert np.array_equal(project_box(x, free), x)
+        assert np.array_equal(free.project(x), x)
 
     def test_box_requires_order(self):
         with pytest.raises(ValueError):
@@ -230,11 +238,9 @@ class TestWpmFastPath:
         ubar = standard_normal_matrix(n, r, rng)
         gram = ubar.T @ ubar
         u = rng.uniform(n)
-        slopes = {"few active": (u < 0.25).astype(float),
-                  "most active": (u < 0.75).astype(float),
-                  "fractional": u}
-        assert 2 * slopes["few active"].sum() <= n < 2 * slopes["most active"].sum()
-        for slope in slopes.values():
+        few, most = u < 0.25, u < 0.75
+        assert 2 * few.sum() <= n < 2 * most.sum()
+        for slope in (few, most):
             for sign in (1, -1):
                 dense = np.eye(r) + sign * (ubar.T @ np.diag(slope) @ ubar)
                 jac = _newton_jacobian(ubar, gram, slope, sign)
@@ -245,16 +251,20 @@ class TestWpmFastPath:
         rng = Rng(31)
         ubar = 0.5 * standard_normal_matrix(50, 5, rng)
         x = 2.0 * rng.normal(50)
-        _, gamma_prev = wpm_structured(box_prox, x, ubar, tol=1e-12)
+        state = NewtonState(ubar)
+        _, gamma_prev = wpm_structured(box_prox, x, ubar, tol=1e-12, newton=state)
+        assert state.gamma is gamma_prev
         x_next = x + 0.05 * rng.normal(50)
         tol = 1e-12
         cold, _ = wpm_structured(box_prox, x_next, ubar, tol=tol)
-        warm, gamma = wpm_structured(box_prox, x_next, ubar, tol=tol,
-                                     gamma0=gamma_prev)
+        warm, gamma = wpm_structured(box_prox, x_next, ubar, tol=tol, newton=state)
         assert np.abs(warm - cold).max() <= 1e-10
         assert np.linalg.norm(ubar.T @ (x_next - warm) + gamma) <= tol
+        for other in (NewtonState(ubar.copy()), NewtonState(ubar, -1)):
+            with pytest.raises(ValueError):  # a state of another Ubar or sign
+                wpm_structured(box_prox, x_next, ubar, newton=other)
         with pytest.raises(ValueError):
-            wpm_structured(box_prox, x_next, ubar, gamma0=np.zeros(4))
+            NewtonState(ubar, 0)
 
     def test_gram_argument_matches_internal_gram(self):
         rng = Rng(32)
@@ -263,7 +273,7 @@ class TestWpmFastPath:
         for prox_d in (BoxProx(BoxConstraint(0.0, 1.0)), SoftThresholdProx(0.3)):
             u, gamma = wpm_structured(prox_d, x, ubar, tol=1e-12)
             u_g, gamma_g = wpm_structured(prox_d, x, ubar, tol=1e-12,
-                                          gram=ubar.T @ ubar)
+                                          newton=NewtonState(ubar, gram=ubar.T @ ubar))
             assert np.array_equal(u, u_g) and np.array_equal(gamma, gamma_g)
 
     def test_warm_start_cuts_newton_steps_in_wapg(self, monkeypatch):
@@ -287,8 +297,9 @@ class TestWpmFastPath:
 
         warm_steps, warm_trace = solve()
         warm_func = prox.wpm_structured
+        # a fresh Newton state per projection: gamma starts from zero
         monkeypatch.setattr(prox, "wpm_structured",
-                            lambda *a, gamma0=None, **kw: warm_func(*a, **kw))
+                            lambda *a, newton=None, **kw: warm_func(*a, **kw))
         cold_steps, cold_trace = solve()
         assert 0 < warm_steps < cold_steps
         assert np.array_equal(warm_trace.inner_iters, cold_trace.inner_iters)
@@ -381,12 +392,6 @@ class TestWpmMixedDual:
 
 
 class TestCompositeProx:
-    def test_soft_threshold_box(self):
-        p = SoftThresholdBoxProx(0.5, BoxConstraint(0.0, 1.0))
-        u = np.array([-2.0, 0.3, 0.8, 3.0])
-        assert np.allclose(p(u), [0.0, 0.0, 0.3, 1.0])
-        assert np.array_equal(p.slope(u), [0.0, 0.0, 1.0, 0.0])
-
     def test_weighted_norm_estimate_accounts_for_group_weights(self):
         op, gs = grad_operator(6, 6)
         plain = weighted_op_norm_sq(op, GroupStructure("vector", 36, 2), 100, Rng(15))

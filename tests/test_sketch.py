@@ -7,8 +7,8 @@ from rnp.linops import (DiagonalWeight, LinearOperator, compose, gram_operator,
                         matrix_operator, transpose)
 from rnp.problems import make_ct, make_deblur
 from rnp.sketch import (NystromFactor, build_preconditioner,
-                        effective_dimension, load_factor, nystrom_approx,
-                        nystrom_oracle_dense, save_factor, recommended_sketch_size)
+                        effective_dimension, nystrom_approx,
+                        nystrom_oracle_dense, recommended_sketch_size)
 
 
 def random_psd(n, eigs, seed):
@@ -263,29 +263,3 @@ class TestEffectiveDimension:
     def test_recommended_sketch_size(self):
         assert recommended_sketch_size(5.0) == 2 * int(np.ceil(1.5 * 5.0 + 1))
 
-
-class TestFactorSerialization:
-    def test_roundtrip(self, tmp_path):
-        phi = random_psd(18, np.linspace(0.3, 1.5, 18), seed=30)
-        factor = nystrom_approx(matrix_operator(phi), 6, Rng(31))
-        path = tmp_path / "factor.nysf"
-        save_factor(factor, path)
-        back = load_factor(path)
-        assert np.array_equal(back.U, factor.U)
-        assert np.array_equal(back.S_hat, factor.S_hat)
-        assert back.s_K == factor.s_K
-        assert back.shift == factor.shift
-        assert back.seed == factor.seed
-        assert path.read_bytes()[:4] == b"NYSF"
-
-
-class TestFactorLoadErrors:
-    def test_truncated_file_rejected(self, tmp_path):
-        phi = random_psd(10, np.linspace(0.5, 1.0, 10), seed=40)
-        factor = nystrom_approx(matrix_operator(phi), 4, Rng(41))
-        path = tmp_path / "factor.nysf"
-        save_factor(factor, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(ValueError):
-            load_factor(path)

@@ -540,11 +540,12 @@ class TestWapgSeparableApplies:
         import rnp.solvers as solvers
         from rnp.problems import make_ct
         from rnp.solvers import build_wapg_preconditioner, wapg_cost
-        iterates = []
+        iterates, states = [], []
 
         def recording(*args, **kwargs):
             result = wpm_structured(*args, **kwargs)
             iterates.append(result[0])
+            states.append(kwargs["newton"])
             return result
 
         monkeypatch.setattr(solvers, "wpm_structured", recording)
@@ -555,7 +556,8 @@ class TestWapgSeparableApplies:
                                  lambda x: calls.append(1) or L.apply(x),
                                  lambda w: calls.append(1) or L.adjoint(w))
         prob = dataclasses.replace(prob, L=counted)
-        calls.clear()  # the instance checks its adjoints when it is built
+        # make_ct checked the adjoints of the original L; replace checks none
+        assert not calls
         K, power_iters, outer = 8, 5, 4
         cfg = WapgConfig(lam=0.02, sketch_size=K, power_iters=power_iters,
                          outer_max=outer, prox_mode="separable")
@@ -571,6 +573,8 @@ class TestWapgSeparableApplies:
         # the last prox output is the final transform-domain iterate
         assert trace.costs[-1] == wapg_cost(prob, cfg, iterates[-1])
         assert np.array_equal(img, L.adjoint(iterates[-1]))
+        # one Newton state carries gamma from each soft threshold to the next
+        assert states[0] is not None and all(s is states[0] for s in states)
 
 
 class TestCostClosedForms:
