@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .core import Rng, standard_normal_matrix
-from .harness import ExperimentSpec, run_experiment, saved_time
+from .harness import ExperimentSpec, run_experiment, saved_times
 from .linops import matrix_operator
 from .sketch import (build_preconditioner, effective_dimension, nystrom_approx,
                      nystrom_oracle_dense, recommended_sketch_size)
@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ct = subs.add_parser("ct", help="parallel-beam tomography reconstruction",
                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_common(ct)
-    ct.add_argument("--reg", choices=["wavelet", "tv", "hs"], default="tv")
+    ct.add_argument("--reg", dest="regularizer", choices=["wavelet", "tv", "hs"],
+                    default="tv")
     ct.add_argument("--views", type=int, default=60)
     ct.add_argument("--phi", type=float, default=1.0)
     ct.add_argument("--noise-sigma", type=float, default=0.01)
@@ -124,16 +125,21 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
 def _default_k(command: str, args) -> tuple[int, ...]:
     if command == "ct":
-        return (0, 100) if args.reg == "hs" else (0, 20)
+        return (0, 100) if args.regularizer == "hs" else (0, 20)
     return (0, 100)
 
 
 def _default_lam(command: str, args) -> tuple[float, ...]:
     if command == "ct":
-        return {"wavelet": (2e-2,), "tv": (5e-2,), "hs": (5e-2,)}[args.reg]
+        return {"wavelet": (2e-2,), "tv": (5e-2,), "hs": (5e-2,)}[args.regularizer]
     # chosen by final PSNR at the default p = q = 1 (n in {32, 64}, seeds
     # 0-2); 2e-3 left both reconstructions below the corrupted input
     return {"deblur": (5e-2,), "sr": (1e-1,)}[command]
+
+
+# ExperimentSpec fields that only some subcommands take, under the same names
+_TASK_FLAGS = ("kernel", "factor", "views", "regularizer", "noise_frac", "noise_sigma",
+               "p", "q", "phi")
 
 
 def _run_task(command: str, args) -> int:
@@ -142,7 +148,7 @@ def _run_task(command: str, args) -> int:
                                     else _default_lam(command, args))
     sketch_sizes = args.K if args.K is not None else _default_k(command, args)
     variant = {"deblur": lambda: args.kernel, "sr": lambda: f"x{args.factor}",
-               "ct": lambda: args.reg}[command]()
+               "ct": lambda: args.regularizer}[command]()
     spec = ExperimentSpec(
         name=f"{command}_{variant}_n{args.n}",
         task=command,
@@ -152,34 +158,24 @@ def _run_task(command: str, args) -> int:
         sketch_sizes=sketch_sizes,
         lam_grid=lam_grid,
         seeds=args.seed,
-        kernel=getattr(args, "kernel", "gauss9"),
-        factor=getattr(args, "factor", 2),
-        views=getattr(args, "views", 60),
-        regularizer=getattr(args, "reg", "tv"),
-        noise_frac=getattr(args, "noise_frac", 0.05),
-        noise_sigma=getattr(args, "noise_sigma", 0.01),
-        p=getattr(args, "p", 1.0),
-        q=getattr(args, "q", 1.0),
-        phi=getattr(args, "phi", 1.0),
-        outer_max=args.max_iter or (60 if command == "ct" else 20),
+        outer_max=(args.max_iter if args.max_iter is not None
+                   else 60 if command == "ct" else 20),
         inner_tol=args.tol,
         box_lo=0.0 if command == "ct" else -math.inf,
         box_hi=1.0 if command == "ct" else math.inf,
         sqrt_tail=args.sqrt_tail == "on",
         jobs=args.jobs,
+        **{k: v for k, v in vars(args).items() if k in _TASK_FLAGS},
     )
     results = run_experiment(spec)
-    baseline = {(r.lam, r.seed): r.wall_s for r in results if r.K == 0 and r.status == "ok"}
     print(f"{'run':34s} {'status':8s} {'best_psnr':>10s} {'wall_s':>9s} {'ST':>7s}")
     failures = 0
-    for r in results:
-        st = ""
-        if r.K > 0 and r.status == "ok" and (r.lam, r.seed) in baseline:
-            st = f"{saved_time(baseline[(r.lam, r.seed)], r.wall_s):.3f}"
+    for r, st in zip(results, saved_times(results)):
+        st_text = "" if st is None else f"{st:.3f}"
         status = "ok" if r.status == "ok" else "FAIL"
         failures += status == "FAIL"
         best = "" if math.isnan(r.best_psnr) else f"{r.best_psnr:.2f}"
-        print(f"{r.run_id:34s} {status:8s} {best:>10s} {r.wall_s:9.2f} {st:>7s}")
+        print(f"{r.run_id:34s} {status:8s} {best:>10s} {r.wall_s:9.2f} {st_text:>7s}")
     print(f"summary: {os.path.join(out, spec.name, 'summary.csv')}")
     return 1 if failures else 0
 

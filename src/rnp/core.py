@@ -8,7 +8,6 @@ solvers.
 
 from __future__ import annotations
 
-import struct
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,9 +20,6 @@ __all__ = [
     "ImageGrid",
     "standard_normal_matrix",
     "psnr",
-    "write_pgm",
-    "write_raw",
-    "read_raw",
 ]
 
 PSNR_CAP_DB = 300.0
@@ -101,9 +97,6 @@ class ImageGrid:
             raise ValueError("expected a 2-D array")
         return cls(m.shape[0], m.shape[1], m.ravel(order="F"))
 
-    def matrix(self) -> np.ndarray:
-        return self.data.reshape(self.rows, self.cols, order="F")
-
 
 def _uniforms(bits: np.ndarray) -> np.ndarray:
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
@@ -152,43 +145,3 @@ def psnr(x: ImageGrid, ref: ImageGrid, peak: float = 1.0) -> float:
         return PSNR_CAP_DB
     return min(PSNR_CAP_DB, 10.0 * np.log10(peak * peak / mse))
 
-
-# ---------------------------------------------------------------------------
-# Serialization: P2 PGM previews and an exact float64 round-trip format.
-# Raw format: 16-byte header (magic "RNPG", rows/cols/reserved as uint32 LE)
-# followed by the column-stacked float64 payload.
-# ---------------------------------------------------------------------------
-
-_RAW_MAGIC = b"RNPG"
-
-
-def write_pgm(grid: ImageGrid, path, lo: float = 0.0, hi: float = 1.0) -> None:
-    """8-bit ASCII PGM preview; values clipped to [lo, hi] then scaled to 0..255."""
-    if hi <= lo:
-        raise ValueError("hi must exceed lo")
-    m = grid.matrix()
-    q = np.clip((m - lo) / (hi - lo), 0.0, 1.0)
-    pix = np.rint(q * 255).astype(np.uint8)
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"P2\n{grid.cols} {grid.rows}\n255\n")
-        for row in pix:
-            f.write(" ".join(str(v) for v in row) + "\n")
-
-
-def write_raw(grid: ImageGrid, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_RAW_MAGIC)
-        f.write(struct.pack("<III", grid.rows, grid.cols, 0))
-        f.write(grid.data.astype("<f8").tobytes())
-
-
-def read_raw(path) -> ImageGrid:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _RAW_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_RAW_MAGIC!r}")
-        rows, cols, _ = struct.unpack("<III", f.read(12))
-        data = np.frombuffer(f.read(8 * rows * cols), dtype="<f8")
-        if data.size != rows * cols:
-            raise ValueError("truncated raw image payload")
-    return ImageGrid(rows, cols, data.copy())

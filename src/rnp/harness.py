@@ -28,6 +28,7 @@ __all__ = [
     "ExperimentSpec",
     "RunResult",
     "saved_time",
+    "saved_times",
     "run_experiment",
     "compare_inner_iterations",
     "write_trace_csv",
@@ -35,7 +36,6 @@ __all__ = [
 ]
 
 TRACE_HEADER = ["iter", "elapsed_s", "cost", "psnr", "inner_iters", "sketch_s"]
-_TIMING_COLUMNS = {"elapsed_s", "sketch_s"}
 
 
 def saved_time(t_without: float, t_with: float) -> float:
@@ -81,6 +81,10 @@ class ExperimentSpec:
             raise ValueError("sketch sizes, lambda grid, and seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if min(self.sketch_sizes) < 0:
+            raise ValueError("sketch sizes must be nonnegative")
+        if self.outer_max < 1:
+            raise ValueError(f"outer_max must be >= 1, got {self.outer_max}")
 
 
 @dataclass(frozen=True)
@@ -181,9 +185,17 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
     return results
 
 
-def _write_summary(spec: ExperimentSpec, results: list[RunResult]) -> None:
+def saved_times(results: list[RunResult]) -> list[Optional[float]]:
+    """ST of each successful K > 0 run against the successful K = 0 run of
+    its (lambda, seed); None where there is no such pair."""
     baseline = {(r.lam, r.seed): r.wall_s for r in results
                 if r.K == 0 and r.status == "ok"}
+    return [saved_time(baseline[r.lam, r.seed], r.wall_s)
+            if r.K > 0 and r.status == "ok" and (r.lam, r.seed) in baseline else None
+            for r in results]
+
+
+def _write_summary(spec: ExperimentSpec, results: list[RunResult]) -> None:
     best_lam: dict[int, float] = {}
     for K in spec.sketch_sizes:
         scores = {}
@@ -201,14 +213,11 @@ def _write_summary(spec: ExperimentSpec, results: list[RunResult]) -> None:
         writer.writerow(["run_id", "solver", "task", "K", "lambda", "seed", "status",
                          "iters", "wall_s", "sketch_s", "final_cost", "final_psnr",
                          "best_psnr", "st", "best_lambda"])
-        for r in results:
-            st = ""
-            if r.K > 0 and r.status == "ok" and (r.lam, r.seed) in baseline:
-                st = _fmt(saved_time(baseline[(r.lam, r.seed)], r.wall_s))
+        for r, st in zip(results, saved_times(results)):
             writer.writerow([r.run_id, spec.solver, spec.task, r.K, _fmt(r.lam),
                              r.seed, r.status, r.iterations, _fmt(r.wall_s),
                              _fmt(r.sketch_s), _fmt(r.final_cost), _fmt(r.final_psnr),
-                             _fmt(r.best_psnr), st,
+                             _fmt(r.best_psnr), "" if st is None else _fmt(st),
                              int(best_lam.get(r.K) == r.lam)])
 
 
@@ -244,8 +253,6 @@ def compare_inner_iterations(problem: ProblemInstance, p: float, q: float,
     Both runs start from zero with an uncapped inner budget so counts
     reflect solves to the same accuracy, never the iteration ceiling.
     """
-    if K < 0:
-        raise ValueError("K must be nonnegative")
     x0 = np.zeros(problem.A.domain_dim)
     without, with_, reductions = [], [], []
     for seed in seeds:

@@ -140,14 +140,13 @@ def add_salt_pepper(x: ImageGrid, frac: float, rng: Rng) -> ImageGrid:
     return ImageGrid(x.rows, x.cols, data)
 
 
-def make_deblur(kernel: str, n: int, noise_frac: float, rng: Rng,
-                phantom_kind: str = "blocks") -> ProblemInstance:
+def make_deblur(kernel: str, n: int, noise_frac: float, rng: Rng) -> ProblemInstance:
     """Circular blur + salt-and-pepper corruption, gradient-group regularizer."""
     if n < 32:
         raise ValueError("deblur image side must be >= 32")
     if kernel not in _DEBLUR_KERNELS:
         raise ValueError(f"kernel must be one of {sorted(_DEBLUR_KERNELS)}")
-    truth = phantom(phantom_kind, n)
+    truth = phantom("blocks", n)
     A = blur_operator(_DEBLUR_KERNELS[kernel](), n, n)
     L, structure = grad_operator(n, n)
     clean = ImageGrid(n, n, A.apply(truth.data))
@@ -156,12 +155,11 @@ def make_deblur(kernel: str, n: int, noise_frac: float, rng: Rng,
         ProblemInstance(f"deblur-{kernel}-n{n}", A, L, structure, y.data, truth))
 
 
-def make_sr(n: int, factor: int, noise_frac: float, rng: Rng,
-            phantom_kind: str = "blocks") -> ProblemInstance:
+def make_sr(n: int, factor: int, noise_frac: float, rng: Rng) -> ProblemInstance:
     """7x7 Gaussian blur (sigma 1.6) then decimation by ``factor``."""
     if n % factor:
         raise ValueError(f"n={n} not divisible by factor={factor}")
-    truth = phantom(phantom_kind, n)
+    truth = phantom("blocks", n)
     blur = blur_operator(gaussian_kernel(7, 1.6), n, n)
     A = downsample_operator(blur, n, n, factor)
     L, structure = grad_operator(n, n)
@@ -172,14 +170,14 @@ def make_sr(n: int, factor: int, noise_frac: float, rng: Rng,
 
 
 def make_ct(n: int, views: int, regularizer: str, noise_sigma: float,
-            rng: Rng, phantom_kind: str = "shepp_logan") -> ProblemInstance:
+            rng: Rng) -> ProblemInstance:
     """Parallel-beam measurements of a phantom with additive Gaussian noise
     scaled by the sinogram peak; regularizer is wavelet, tv, or hs."""
     if n < 16 or views < 1:
         raise ValueError("need n >= 16 and views >= 1")
     bins = int(math.ceil(n * math.sqrt(2.0)))
     bins += 1 - bins % 2  # odd so a ray passes through the exact center
-    truth = phantom(phantom_kind, n)
+    truth = phantom("shepp_logan", n)
     A = radon_operator(n, views, bins)
     if regularizer == "wavelet":
         if n % (1 << WAVELET_LEVELS):

@@ -381,12 +381,11 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     if lam_bar < 0:
         raise ValueError("lam_bar must be nonnegative")
 
-    structured = pre is not None and pre.rank > 0
-    if structured and newton is None:
+    if pre is not None and newton is None:
         newton = NewtonState(pre.Ubar, gram=pre.gram)
 
     def prox_p_box(v):
-        if not structured:
+        if pre is None:
             return box.project(v)
         return wpm_structured(BoxProx(box), v, pre.Ubar, 1, tol=_WPM_TOL,
                               newton=newton)[0]
@@ -408,11 +407,11 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
 
     def gap_certified(dual, x_dual):
         lx = L.apply(x_dual)
-        gap = lam_bar * (mixed_norm_value(lx, phi, structure)
-                         - group_pairing(dual, lx, structure))
+        norm = mixed_norm_value(lx, phi, structure)
+        gap = lam_bar * (norm - group_pairing(dual, lx, structure))
         diff = x_dual - s
         quad = 0.5 * float(np.dot(diff, pre.apply_P(diff) if pre is not None else diff))
-        primal = quad + lam_bar * mixed_norm_value(lx, phi, structure)
+        primal = quad + lam_bar * norm
         return gap <= 10.0 * inner_tol * (1.0 + abs(primal))
 
     q = np.zeros(L.range_dim) if q0 is None else np.asarray(q0, dtype=np.float64).copy()

@@ -8,7 +8,7 @@ and eigenvalue estimates S_hat; the preconditioner built from them is
 
 with tail value t = s_K (the smallest sketched eigenvalue) or sqrt(s_K)
 when ``sqrt_tail`` is set, which empirically speeds up the weighted
-proximal solvers.  All four powers of P share the rank-structured form
+proximal solvers.  P, P^-1 and P^-1/2 share the rank-structured form
 I + U diag(c) U' and apply in O(N K).
 
 The sketch follows the stabilized Nystrom method (Tropp, Yurtsever, Udell
@@ -35,11 +35,13 @@ __all__ = [
     "nystrom_approx",
     "nystrom_oracle_dense",
     "build_preconditioner",
+    "default_mu",
     "effective_dimension",
     "recommended_sketch_size",
 ]
 
 MACHINE_EPS = 2.2e-16
+MU_FLOOR = 1e-6  # preconditioner shift relative to the top sketched eigenvalue
 
 
 @dataclass(frozen=True)
@@ -52,17 +54,8 @@ class NystromFactor:
     shift: float  # stabilization shift actually used
     seed: int
 
-    @property
-    def rank(self) -> int:
-        return self.U.shape[1]
-
-    @classmethod
-    def empty(cls, n: int, seed: int = 0) -> "NystromFactor":
-        return cls(np.zeros((n, 0)), np.zeros(0), 0.0, 0.0, seed)
-
 
 def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
-                   eps: float = MACHINE_EPS,
                    omega: Optional[np.ndarray] = None) -> NystromFactor:
     """Randomized low-rank factorization of a symmetric PSD operator.
 
@@ -76,17 +69,17 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     each column equals the single-vector apply bit for bit, so the result
     is bit-identical for a fixed seed however the applications are
     scheduled.  The Gram matrix is
-    shifted by nu = eps * ||Omega||_F before the Cholesky step; if that
+    shifted by nu = MACHINE_EPS * ||Omega||_F before the Cholesky step; if that
     factorization fails the shift escalates (x10, at most 5 attempts,
-    seeded from eps * ||Y||_F / sqrt(N) as a fallback scale) before giving
+    seeded from MACHINE_EPS * ||Y||_F / sqrt(N) as a fallback scale) before giving
     up, which signals a non-PSD operator.
 
     With C the Cholesky factor, B = Y_nu C^-T is formed explicitly and its
     singular pairs come from eigh(B'B) = V Sigma^2 V' as U = B V Sigma^-1:
     a K x K eigensolve in place of an N x K SVD.  Squaring B's condition
-    number leaves eigenvalues below about eps * S_hat[0] with absolute
-    accuracy only, far below the solvers' default shift
-    mu = mu_floor * S_hat[0].  Forming B matters: the eigenvalues of
+    number leaves eigenvalues below about MACHINE_EPS * S_hat[0] with absolute
+    accuracy only, far below the solvers' shift mu = MU_FLOOR * S_hat[0]
+    (``default_mu``).  Forming B matters: the eigenvalues of
     C^-1 Y_nu'Y_nu C^-T skip the triangular solve, but on an exactly
     rank-deficient operator they left spurious S_hat of ~0.02 where B gives
     ~1e-16.  Directions with sigma^2 <= nu get S_hat = 0 and a zero column
@@ -104,7 +97,7 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     # small products such as omega'Y sum in an order that follows the layouts
     omega = np.asfortranarray(omega)
     y = np.asfortranarray(phi.apply_block(omega))
-    nu = eps * float(np.linalg.norm(omega))
+    nu = MACHINE_EPS * float(np.linalg.norm(omega))
     for attempt in range(5):
         y_nu = y + nu * omega
         gram = omega.T @ y_nu
@@ -113,7 +106,7 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             if attempt == 0:
-                nu = max(10.0 * nu, eps * float(np.linalg.norm(y)) / np.sqrt(n))
+                nu = max(10.0 * nu, MACHINE_EPS * float(np.linalg.norm(y)) / np.sqrt(n))
             else:
                 nu *= 10.0
             continue
@@ -144,19 +137,9 @@ class Preconditioner:
     """Rank-structured preconditioner; all powers apply in O(N K)."""
 
     factor: NystromFactor
-    mu: float
-    s_tail: float
     sqrt_tail: bool
     # diag of U'(P)U relative to identity: P = I + U diag(d - 1) U'
     d: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.factor.U.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.factor.rank
 
     @cached_property
     def Ubar(self) -> np.ndarray:
@@ -176,14 +159,10 @@ class Preconditioner:
     @property
     def sigma_max_pinv(self) -> float:
         """Largest eigenvalue of P^-1 (exactly 1 unless sqrt_tail shrinks the tail)."""
-        if self.d.size == 0:
-            return 1.0
         return max(1.0, float(1.0 / self.d.min()))
 
     def _structured(self, coef: np.ndarray, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
-        if coef.size == 0:
-            return v.copy()
         u = self.factor.U
         return v + u @ (coef * (u.T @ v))
 
@@ -192,9 +171,6 @@ class Preconditioner:
 
     def apply_Pinv(self, v: np.ndarray) -> np.ndarray:
         return self._structured(1.0 / self.d - 1.0, v)
-
-    def apply_Phalf(self, v: np.ndarray) -> np.ndarray:
-        return self._structured(np.sqrt(self.d) - 1.0, v)
 
     def apply_Pinvhalf(self, v: np.ndarray) -> np.ndarray:
         return self._structured(1.0 / np.sqrt(self.d) - 1.0, v)
@@ -212,7 +188,13 @@ def build_preconditioner(factor: NystromFactor, mu: float,
         raise ValueError("mu must be positive")
     tail = float(np.sqrt(factor.s_K)) if sqrt_tail else float(factor.s_K)
     d = (factor.S_hat + mu) / (tail + mu)
-    return Preconditioner(factor, float(mu), tail, sqrt_tail, d)
+    return Preconditioner(factor, sqrt_tail, d)
+
+
+def default_mu(factor: NystromFactor) -> float:
+    """The solvers' shift mu: MU_FLOOR * S_hat[0], or 1e-12 for a zero sketch."""
+    top = factor.S_hat[0]
+    return MU_FLOOR * top if top > 0 else 1e-12
 
 
 def effective_dimension(phi: np.ndarray, mu: float) -> float:

@@ -18,7 +18,7 @@ from .linops import (DiagonalWeight, GroupStructure, LinearOperator, compose,
                      gram_operator, operator_norm_sq, spare_pool, transpose)
 from .prox import (BoxConstraint, NewtonState, SoftThresholdProx, weighted_op_norm_sq,
                    mixed_norm_value, wpm_mixed_dual, wpm_structured)
-from .sketch import Preconditioner, build_preconditioner, nystrom_approx
+from .sketch import Preconditioner, build_preconditioner, default_mu, nystrom_approx
 
 __all__ = [
     "IrmConfig",
@@ -74,11 +74,18 @@ class SolverTrace:
 WEIGHT_CAP = 1e6  # largest reweighting factor the default magnitude floor allows
 
 
-def default_eps_smooth(exponent: float, cap: float = WEIGHT_CAP) -> float:
-    """Magnitude floor (squared) so that m**(exponent-2) never exceeds cap."""
+def default_eps_smooth(exponent: float) -> float:
+    """Magnitude floor (squared) so that m**(exponent-2) never exceeds WEIGHT_CAP."""
     if exponent >= 2.0:
         return 1e-12
-    return float(cap ** (2.0 / (exponent - 2.0)))
+    return float(WEIGHT_CAP ** (2.0 / (exponent - 2.0)))
+
+
+def _check_budget(outer_max: int, sketch_size: int) -> None:
+    if outer_max < 1:
+        raise ValueError(f"outer_max must be >= 1, got {outer_max}")
+    if sketch_size < 0:
+        raise ValueError(f"sketch_size must be >= 0, got {sketch_size}")
 
 
 @dataclass(frozen=True)
@@ -86,13 +93,11 @@ class IrmConfig:
     p: float
     q: float
     lam: float
-    eps_smooth: Optional[float] = None  # None: floor capping weights at WEIGHT_CAP
     outer_tol: float = 1e-6
     outer_max: int = 20
     inner_tol: float = 1e-4
     inner_max: int = 200
     sketch_size: int = 100  # 0 disables preconditioning
-    mu_floor: float = 1e-6  # preconditioner shift relative to top sketched eigenvalue
     sqrt_tail: bool = False
 
     def __post_init__(self):
@@ -100,16 +105,7 @@ class IrmConfig:
             raise ValueError("p and q must lie in (0, 2]")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        if self.eps_smooth is not None and self.eps_smooth <= 0:
-            raise ValueError("eps_smooth must be positive")
-
-    @property
-    def eps_p(self) -> float:
-        return self.eps_smooth if self.eps_smooth is not None else default_eps_smooth(self.p)
-
-    @property
-    def eps_q(self) -> float:
-        return self.eps_smooth if self.eps_smooth is not None else default_eps_smooth(self.q)
+        _check_budget(self.outer_max, self.sketch_size)
 
 
 @dataclass(frozen=True)
@@ -117,8 +113,6 @@ class WapgConfig:
     lam: float
     phi: float = 1
     sketch_size: int = 20
-    mu: Optional[float] = None  # None: mu_floor * top sketched eigenvalue
-    mu_floor: float = 1e-6
     power_iters: int = 30
     alpha: Optional[float] = None  # None: 1 / (1.1 * estimated Lipschitz)
     outer_max: int = 60
@@ -138,6 +132,7 @@ class WapgConfig:
             raise ValueError("prox_mode must be 'dual' or 'separable'")
         if self.alpha is not None and self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        _check_budget(self.outer_max, self.sketch_size)
 
 
 def half_quadratic_constants(p: float) -> tuple[float, float]:
@@ -257,7 +252,7 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
                 v, z = np.ones(A.range_dim), np.ones(L.range_dim)
             else:
                 v, z = update_weights(x, A, L, structure, y, cfg.p, cfg.q,
-                                      cfg.eps_p, cfg.eps_q)
+                                      default_eps_smooth(cfg.p), default_eps_smooth(cfg.q))
             wf = DiagonalWeight((2.0 / cfg.p) * v)
             wg = DiagonalWeight((2.0 / cfg.q) * z)
             phi = gram_operator(A, wf, L, wg, cfg.lam)
@@ -279,8 +274,7 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
                     # core's draw, which never submits to the pool it runs on
                     ahead = (k + 1, pool.submit(standard_normal_matrix, n, K, rng.spawn(k + 1)))
                 sketch_s = time.perf_counter() - t0
-                mu = cfg.mu_floor * factor.S_hat[0] if factor.S_hat[0] > 0 else 1e-12
-                return build_preconditioner(factor, mu, cfg.sqrt_tail).apply_Pinv
+                return build_preconditioner(factor, default_mu(factor), cfg.sqrt_tail).apply_Pinv
 
             report = pcg(phi, rhs, None, tol=cfg.inner_tol, maxiter=cfg.inner_max, x0=x,
                          build_pinv=sketch_pinv if K > 0 else None)
@@ -347,14 +341,11 @@ def build_wapg_preconditioner(problem, cfg: WapgConfig,
     factor = nystrom_approx(compose(transpose(fwd), fwd),
                             min(cfg.sketch_size, fwd.domain_dim), rng)
     sketch_s = time.perf_counter() - t0
-    mu = cfg.mu if cfg.mu is not None else (
-        cfg.mu_floor * factor.S_hat[0] if factor.S_hat[0] > 0 else 1e-12)
-    return build_preconditioner(factor, mu, cfg.sqrt_tail), sketch_s
+    return build_preconditioner(factor, default_mu(factor), cfg.sqrt_tail), sketch_s
 
 
 def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
-               rng: Rng, sketch_seconds: float = 0.0,
-               x0: Optional[np.ndarray] = None) -> tuple[np.ndarray, SolverTrace]:
+               rng: Rng, sketch_seconds: float = 0.0) -> tuple[np.ndarray, SolverTrace]:
     """Accelerated proximal gradient in the metric of ``pre`` (identity when
     None).  The dual state of the mixed-norm proximal subproblem is warm
     started across outer iterations; so is the Newton state of the P-metric
@@ -376,7 +367,7 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
         l_norm_sq = 1.05 * weighted_op_norm_sq(problem.L, problem.structure,
                                                100, rng.spawn(1))
     tau = alpha * cfg.lam
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    x = np.zeros(n)
     u = x.copy()
     t_prev = 1.0
     q_dual = None
@@ -404,20 +395,12 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
         trace.append(iter=k, elapsed_s=time.perf_counter() - start,
                      cost=wapg_cost(problem, cfg, x, img), psnr=_problem_psnr(problem, img),
                      inner_iters=inner, sketch_s=sketch_seconds if k == 1 else 0.0)
-    if cfg.outer_max < 1:
-        img = _wapg_image(problem, cfg, x)
     return img, trace
 
 
-def wapg_cost(problem, cfg: WapgConfig, x: np.ndarray,
-              img: Optional[np.ndarray] = None) -> float:
-    """0.5 ||A x - y||^2 + lam * g(x) in the domain the solver iterates in.
-
-    ``img`` is the image of ``x`` (see ``_wapg_image``); a caller that
-    already has it passes it so the synthesis is not repeated.
-    """
-    if img is None:
-        img = _wapg_image(problem, cfg, x)
+def wapg_cost(problem, cfg: WapgConfig, x: np.ndarray, img: np.ndarray) -> float:
+    """0.5 ||A x - y||^2 + lam * g(x) in the domain the solver iterates in;
+    ``img`` is the image of ``x`` (see ``_wapg_image``)."""
     res = problem.A.apply(img) - problem.y
     data = 0.5 * float(np.dot(res, res))
     if cfg.prox_mode == "separable":

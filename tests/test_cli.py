@@ -44,6 +44,19 @@ class TestArgumentHandling:
                      "--out", str(tmp_path), "--max-iter", "2"])
         assert code == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-iter", "0"], "outer_max"),
+        (["--max-iter", "-1"], "outer_max"),
+        (["--K", "-5"], "sketch sizes"),
+    ])
+    def test_out_of_range_budget_exits_one_before_any_run(self, tmp_path, capsys,
+                                                          flags, message):
+        code = main(["deblur", "--n", "32", "--seed", "1", "--out", str(tmp_path)] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestExperimentCommands:
     def test_deblur_writes_traces_and_summary(self, tmp_path, capsys):

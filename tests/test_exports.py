@@ -1,4 +1,5 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and every exported name has a caller outside the tests."""
 
 import ast
 import importlib
@@ -10,6 +11,10 @@ import pytest
 import rnp
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(rnp.__path__))
+REPO = Path(rnp.__file__).resolve().parents[2]
+
+# Exported for the tests alone: a fixture and the references tests compare against.
+TEST_ORACLES = {"identity_operator", "to_dense", "compare_inner_iterations", "original_cost"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -25,3 +30,34 @@ def test_package_imports_resolve():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert names
     assert [n for n in names if not hasattr(rnp, n)] == []
+
+
+def _referenced_names() -> set[str]:
+    """Every name that code in src/rnp or bench/ reads, as a variable, as an
+    attribute or spelled as a string; ``__all__`` lists and the package's
+    re-exports do not count."""
+    files = [p for p in Path(rnp.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((REPO / "bench").rglob("*.py"))
+    names = set()
+    for path in files:
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+    return names
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    assert (REPO / "bench").is_dir()
+    exported = {attr for name in MODULES
+                for attr in getattr(importlib.import_module(f"rnp.{name}"), "__all__", ())}
+    test_only = exported - _referenced_names()
+    assert sorted(test_only - TEST_ORACLES) == []
+    assert sorted(TEST_ORACLES - test_only) == []  # no stale entries in the list

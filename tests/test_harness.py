@@ -222,6 +222,10 @@ class TestRunExperiment:
             tiny_spec(tmp_path, task="mri")
         with pytest.raises(ValueError):
             tiny_spec(tmp_path, lam_grid=())
+        with pytest.raises(ValueError):
+            tiny_spec(tmp_path, sketch_sizes=(0, -5))
+        with pytest.raises(ValueError):
+            tiny_spec(tmp_path, outer_max=0)
 
 
 class TestCompareInnerIterations:

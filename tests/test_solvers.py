@@ -383,6 +383,16 @@ class TestIrmSolve:
         assert proc.returncode == 0, err
         assert out.strip() == "done"
 
+    @pytest.mark.parametrize("make", [
+        lambda **kw: IrmConfig(p=1.0, q=1.0, lam=1.0, **kw),
+        lambda **kw: WapgConfig(lam=1.0, **kw),
+    ])
+    @pytest.mark.parametrize("budget", [{"outer_max": 0}, {"outer_max": -1},
+                                        {"sketch_size": -5}])
+    def test_configs_reject_out_of_range_budgets(self, make, budget):
+        with pytest.raises(ValueError):
+            make(**budget)
+
     def test_overflowing_rhs_raises_value_error(self):
         n = 8
         y = np.full(n, 1e200)
@@ -571,7 +581,7 @@ class TestWapgSeparableApplies:
         # its cost, its PSNR and, after the last one, the returned image
         assert len(calls) == 2 * K + 2 * power_iters + 3 * outer
         # the last prox output is the final transform-domain iterate
-        assert trace.costs[-1] == wapg_cost(prob, cfg, iterates[-1])
+        assert trace.costs[-1] == wapg_cost(prob, cfg, iterates[-1], img)
         assert np.array_equal(img, L.adjoint(iterates[-1]))
         # one Newton state carries gamma from each soft threshold to the next
         assert states[0] is not None and all(s is states[0] for s in states)
