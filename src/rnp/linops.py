@@ -4,8 +4,9 @@ All operators act on flat float64 vectors; images use the column-stacked
 convention of :class:`rnp.core.ImageGrid` (pixel (i, j) at index j*rows + i).
 Boundary handling is periodic throughout, which keeps every adjoint exact.
 
-An operator may also map an N x K block of columns at once; unless it
-declares a native block map, the block applies loop over the columns.
+Both maps of an operator also take an N x K block of columns, and each
+column of a block's image equals the vector map of that column bit for bit.
+Maps without a native block product loop over the columns (``columnwise``).
 
 Operators are immutable after construction and safe for concurrent use:
 any number of threads may apply one operator at the same time.  Large
@@ -25,6 +26,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,6 +38,7 @@ __all__ = [
     "LinearOperator",
     "GroupStructure",
     "DiagonalWeight",
+    "columnwise",
     "identity_operator",
     "matrix_operator",
     "compose",
@@ -59,46 +62,38 @@ __all__ = [
 class LinearOperator:
     """Matrix-free map with explicit adjoint and declared dimensions.
 
-    ``block_apply`` and ``block_adjoint`` optionally map a whole N x K block
-    of columns in one call; an operator declares them only when each column
-    of the result equals the single-vector map of that column bit for bit.
-    ``apply_block`` and ``adjoint_block`` use them when present and loop
-    over the columns otherwise.
+    ``apply`` and ``adjoint`` each take a vector or a block of K columns
+    (domain_dim x K and range_dim x K); each column of a block's image must
+    equal the vector map of that column bit for bit.
     """
 
     domain_dim: int
     range_dim: int
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
-    block_apply: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    block_adjoint: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.domain_dim <= 0 or self.range_dim <= 0:
             raise ValueError("operator dimensions must be positive")
 
-    def apply_block(self, xs: np.ndarray) -> np.ndarray:
-        """The map applied to each column of a domain_dim x K block."""
-        if self.block_apply is not None:
-            return self.block_apply(xs)
-        return _column_loop(self.apply, self.range_dim, xs)
 
-    def adjoint_block(self, ys: np.ndarray) -> np.ndarray:
-        """The adjoint applied to each column of a range_dim x K block."""
-        if self.block_adjoint is not None:
-            return self.block_adjoint(ys)
-        return _column_loop(self.adjoint, self.domain_dim, ys)
+def columnwise(fn: Callable[[np.ndarray], np.ndarray],
+               rows: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A vector map extended to blocks by mapping each column; a vector goes
+    to ``fn`` unchanged and a block's image has ``rows`` rows."""
 
+    def mapped(x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            return fn(x)
+        # Fortran order: each column's map reads and writes contiguous memory
+        # when x is Fortran-ordered too, as the sketch's test matrix is
+        out = np.empty((rows, x.shape[1]), order="F")
+        for j in range(x.shape[1]):
+            out[:, j] = fn(x[:, j])
+        return out
 
-def _column_loop(fn: Callable[[np.ndarray], np.ndarray], rows: int,
-                 xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    # Fortran order: each column's apply reads and writes contiguous memory
-    # when xs is Fortran-ordered too, as the sketch's test matrix is
-    out = np.empty((rows, xs.shape[1]), order="F")
-    for j in range(xs.shape[1]):
-        out[:, j] = fn(xs[:, j])
-    return out
+    return mapped
 
 
 @dataclass(frozen=True)
@@ -136,6 +131,13 @@ class GroupStructure:
             return np.array([1.0, 1.0, 2.0])
         return np.ones(self.group_size)
 
+    @cached_property
+    def range_weights(self) -> np.ndarray:
+        """The component weights of every group as one read-only range vector."""
+        w = np.tile(self.component_weights, self.group_count)
+        w.flags.writeable = False
+        return w
+
     def as_groups(self, v: np.ndarray) -> np.ndarray:
         """View a range vector as a (G, pi) array (groups are interleaved)."""
         return np.asarray(v).reshape(self.group_count, self.group_size)
@@ -160,27 +162,25 @@ def identity_operator(n: int) -> LinearOperator:
 
 
 def matrix_operator(m: np.ndarray) -> LinearOperator:
+    """The dense matrix ``m`` as an operator.  Blocks map column by column,
+    because a BLAS matrix-matrix product may round differently from the
+    matrix-vector products of its columns."""
     m = np.asarray(m, dtype=np.float64)
-    return LinearOperator(m.shape[1], m.shape[0], lambda x: m @ x, lambda y: m.T @ y)
+    return LinearOperator(m.shape[1], m.shape[0], columnwise(lambda x: m @ x, m.shape[0]),
+                          columnwise(lambda y: m.T @ y, m.shape[1]))
 
 
 def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
     """outer o inner (apply inner first)."""
     if inner.range_dim != outer.domain_dim:
         raise ValueError("incompatible dimensions for composition")
-    return LinearOperator(
-        inner.domain_dim,
-        outer.range_dim,
-        lambda x: outer.apply(inner.apply(x)),
-        lambda y: inner.adjoint(outer.adjoint(y)),
-        lambda xs: outer.apply_block(inner.apply_block(xs)),
-        lambda ys: inner.adjoint_block(outer.adjoint_block(ys)),
-    )
+    return LinearOperator(inner.domain_dim, outer.range_dim,
+                          lambda x: outer.apply(inner.apply(x)),
+                          lambda y: inner.adjoint(outer.adjoint(y)))
 
 
 def transpose(op: LinearOperator) -> LinearOperator:
-    return LinearOperator(op.range_dim, op.domain_dim, op.adjoint, op.apply,
-                          op.block_adjoint, op.block_apply)
+    return LinearOperator(op.range_dim, op.domain_dim, op.adjoint, op.apply)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,8 @@ def blur_operator(kernel: np.ndarray, rows: int, cols: int) -> LinearOperator:
         im_t = _as_transposed_image(x, rows, cols)
         return np.fft.irfft2(np.fft.rfft2(im_t) * transfer, s=(cols, rows)).ravel()
 
-    return LinearOperator(n, n, lambda x: filtered(x, otf), lambda y: filtered(y, otf_conj))
+    return LinearOperator(n, n, columnwise(lambda x: filtered(x, otf), n),
+                          columnwise(lambda y: filtered(y, otf_conj), n))
 
 
 def downsample_operator(blur: LinearOperator, rows: int, cols: int, factor: int) -> LinearOperator:
@@ -245,7 +246,8 @@ def downsample_operator(blur: LinearOperator, rows: int, cols: int, factor: int)
         up[::factor, ::factor] = _as_image(y, out_rows, out_cols)
         return blur.adjoint(up.ravel(order="F"))
 
-    return LinearOperator(rows * cols, out_rows * out_cols, apply, adjoint)
+    return LinearOperator(rows * cols, out_rows * out_cols,
+                          columnwise(apply, out_rows * out_cols), columnwise(adjoint, rows * cols))
 
 
 def _periodic_shifts(t: np.ndarray) -> Callable[[int, int], np.ndarray]:
@@ -293,7 +295,7 @@ def grad_operator(rows: int, cols: int) -> tuple[LinearOperator, GroupStructure]
         out[-1:] -= h[:1]
         return out.ravel()
 
-    return LinearOperator(n, 2 * n, apply, adjoint), structure
+    return LinearOperator(n, 2 * n, columnwise(apply, 2 * n), columnwise(adjoint, n)), structure
 
 
 def hessian_operator(rows: int, cols: int) -> tuple[LinearOperator, GroupStructure]:
@@ -324,7 +326,7 @@ def hessian_operator(rows: int, cols: int) -> tuple[LinearOperator, GroupStructu
         out += 0.25 * (c(-1, -1) - c(-1, 1) - c(1, -1) + c(1, 1))
         return out.ravel()
 
-    return LinearOperator(n, 3 * n, apply, adjoint), structure
+    return LinearOperator(n, 3 * n, columnwise(apply, 3 * n), columnwise(adjoint, n)), structure
 
 
 # Orthonormal 4-tap Daubechies analysis filters.
@@ -381,7 +383,7 @@ def wavelet_operator(rows: int, cols: int, levels: int) -> LinearOperator:
             im[:r, :c] = fr_t @ (fc_t @ im[:r, :c].T).T
         return im.ravel(order="F")
 
-    return LinearOperator(n, n, apply, adjoint)
+    return LinearOperator(n, n, columnwise(apply, n), columnwise(adjoint, n))
 
 
 def radon_operator(n: int, views: int, detector_bins: int) -> LinearOperator:
@@ -430,9 +432,8 @@ def radon_operator(n: int, views: int, detector_bins: int) -> LinearOperator:
         (np.concatenate(vals), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
         shape=(views * detector_bins, n * n),
     )
-    forward = _row_blocked(mat)
-    backward = _row_blocked(mat.T.tocsr())
-    return LinearOperator(n * n, views * detector_bins, forward, backward, forward, backward)
+    return LinearOperator(n * n, views * detector_bins, _row_blocked(mat),
+                          _row_blocked(mat.T.tocsr()))
 
 
 # Nonzeros each row block keeps, at least.  Measured on a 2-core x86_64 VM,
@@ -535,10 +536,9 @@ def gram_operator(A: LinearOperator, Wf: DiagonalWeight, L: LinearOperator,
         raise ValueError("weight sizes must match operator ranges")
     wf, wg = Wf.values, Wg.values
 
-    def apply(x):
-        return A.adjoint(wf * A.apply(x)) + lam * L.adjoint(wg * L.apply(x))
-
-    return LinearOperator(A.domain_dim, A.domain_dim, apply, apply)
+    normal = columnwise(lambda x: A.adjoint(wf * A.apply(x)) + lam * L.adjoint(wg * L.apply(x)),
+                        A.domain_dim)
+    return LinearOperator(A.domain_dim, A.domain_dim, normal, normal)
 
 
 def operator_norm_sq(op: LinearOperator, iters: int, rng: Rng) -> float:

@@ -28,7 +28,6 @@ WAVELET_LEVELS = 4
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    label: str
     A: LinearOperator
     L: LinearOperator
     structure: GroupStructure
@@ -151,8 +150,7 @@ def make_deblur(kernel: str, n: int, noise_frac: float, rng: Rng) -> ProblemInst
     L, structure = grad_operator(n, n)
     clean = ImageGrid(n, n, A.apply(truth.data))
     y = add_salt_pepper(clean, noise_frac, rng)
-    return _adjoint_checked(
-        ProblemInstance(f"deblur-{kernel}-n{n}", A, L, structure, y.data, truth))
+    return _adjoint_checked(ProblemInstance(A, L, structure, y.data, truth))
 
 
 def make_sr(n: int, factor: int, noise_frac: float, rng: Rng) -> ProblemInstance:
@@ -165,8 +163,7 @@ def make_sr(n: int, factor: int, noise_frac: float, rng: Rng) -> ProblemInstance
     L, structure = grad_operator(n, n)
     low = ImageGrid(n // factor, n // factor, A.apply(truth.data))
     y = add_salt_pepper(low, noise_frac, rng)
-    return _adjoint_checked(
-        ProblemInstance(f"sr-x{factor}-n{n}", A, L, structure, y.data, truth))
+    return _adjoint_checked(ProblemInstance(A, L, structure, y.data, truth))
 
 
 def make_ct(n: int, views: int, regularizer: str, noise_sigma: float,
@@ -194,5 +191,4 @@ def make_ct(n: int, views: int, regularizer: str, noise_sigma: float,
     y = sino.copy()
     if noise_sigma > 0:
         y += noise_sigma * float(np.abs(sino).max()) * rng.normal(sino.size)
-    return _adjoint_checked(
-        ProblemInstance(f"ct-{regularizer}-n{n}-v{views}", A, L, structure, y, truth))
+    return _adjoint_checked(ProblemInstance(A, L, structure, y, truth))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .core import Rng
-from .linops import GroupStructure, LinearOperator, operator_norm_sq
+from .linops import GroupStructure, LinearOperator, columnwise, operator_norm_sq
 from .sketch import Preconditioner
 
 __all__ = [
@@ -198,17 +198,16 @@ def mixed_norm_value(v: np.ndarray, phi, structure: GroupStructure) -> float:
 
 def group_pairing(q: np.ndarray, v: np.ndarray, structure: GroupStructure) -> float:
     """<Q, V> under the group pairing (Frobenius for sym2x2 groups)."""
-    w = np.tile(structure.component_weights, structure.group_count)
-    return float(np.dot(np.asarray(q) * w, v))
+    return float(np.dot(np.asarray(q) * structure.range_weights, v))
 
 
 def weighted_op_norm_sq(op: LinearOperator, structure: GroupStructure,
                         iters: int, rng: Rng) -> float:
     """lambda_max of L' W L where W carries the group component weights."""
-    sqrt_w = np.sqrt(np.tile(structure.component_weights, structure.group_count))
+    sqrt_w = np.sqrt(structure.range_weights)
     weighted = LinearOperator(op.domain_dim, op.range_dim,
-                              lambda x: sqrt_w * op.apply(x),
-                              lambda y: op.adjoint(sqrt_w * y))
+                              columnwise(lambda x: sqrt_w * op.apply(x), op.range_dim),
+                              columnwise(lambda y: op.adjoint(sqrt_w * y), op.domain_dim))
     return operator_norm_sq(weighted, iters, rng)
 
 
@@ -397,7 +396,7 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
         l_norm_sq = 1.05 * weighted_op_norm_sq(L, structure, 100, Rng(0x5EED))
     sigma = pre.sigma_max_pinv if pre is not None else 1.0
     step = 1.0 / (2.0 * lam_bar * lam_bar * l_norm_sq * sigma)
-    comp_w = np.tile(structure.component_weights, structure.group_count)
+    comp_w = structure.range_weights
 
     def pinv(v):
         return pre.apply_Pinv(v) if pre is not None else v

@@ -7,9 +7,11 @@ and eigenvalue estimates S_hat; the preconditioner built from them is
     P^-1  = U ((t + mu) / (S_hat + mu)) U' + (I - U U')
 
 with tail value t = s_K (the smallest sketched eigenvalue) or sqrt(s_K)
-when ``sqrt_tail`` is set, which empirically speeds up the weighted
-proximal solvers.  P, P^-1 and P^-1/2 share the rank-structured form
-I + U diag(c) U' and apply in O(N K).
+when ``sqrt_tail`` is set.  The square root helps only when the sketched
+eigenvalues sit near or below 1; at this package's operator scaling it
+inflates the preconditioned metric and measurably slows the weighted
+proximal solvers, so they default to t = s_K.  P, P^-1 and P^-1/2 share
+the rank-structured form I + U diag(c) U' and apply in O(N K).
 
 The sketch follows the stabilized Nystrom method (Tropp, Yurtsever, Udell
 & Cevher, SIMAX 2017): shift, Cholesky of the K x K core, one triangular
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .core import Rng, standard_normal_matrix
-from .linops import LinearOperator, spare_pool
+from .linops import LinearOperator, columnwise, spare_pool
 
 __all__ = [
     "NystromFactor",
@@ -50,9 +52,7 @@ class NystromFactor:
 
     U: np.ndarray = field(repr=False)  # N x K, orthonormal where S_hat > 0, else zero
     S_hat: np.ndarray = field(repr=False)  # K nonneg eigenvalues, nonincreasing
-    s_K: float  # smallest sketched eigenvalue
     shift: float  # stabilization shift actually used
-    seed: int
 
 
 def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
@@ -64,11 +64,11 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     (``linops.spare_pool``).  A caller that drew it ahead of time passes it
     as ``omega``, which must equal that draw; ``rng`` is then left as it is.
     The matrix and its image are kept in Fortran order, so each column is
-    contiguous for the column applies.  ``phi`` maps it in one block call (``phi.apply_block``), which loops
-    over the columns unless ``phi`` declares a native block map; either way
-    each column equals the single-vector apply bit for bit, so the result
-    is bit-identical for a fixed seed however the applications are
-    scheduled.  The Gram matrix is
+    contiguous for an operator that maps a block column by column.  ``phi``
+    maps the whole block in one ``phi.apply`` call; by the operator
+    contract each column equals the vector apply bit for bit, so the result
+    is bit-identical for a fixed seed whether ``phi`` has a native block
+    product or loops over the columns.  The Gram matrix is
     shifted by nu = MACHINE_EPS * ||Omega||_F before the Cholesky step; if that
     factorization fails the shift escalates (x10, at most 5 attempts,
     seeded from MACHINE_EPS * ||Y||_F / sqrt(N) as a fallback scale) before giving
@@ -83,7 +83,7 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     C^-1 Y_nu'Y_nu C^-T skip the triangular solve, but on an exactly
     rank-deficient operator they left spurious S_hat of ~0.02 where B gives
     ~1e-16.  Directions with sigma^2 <= nu get S_hat = 0 and a zero column
-    in U (nothing is divided by their sigma); s_K is then 0, so they carry
+    in U (nothing is divided by their sigma); S_hat[-1] is then 0, so they carry
     coefficient 0 in every power of the preconditioner.
     """
     n = phi.domain_dim
@@ -93,10 +93,10 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
         omega = standard_normal_matrix(n, K, rng, spare_pool())
     elif omega.shape != (n, K):
         raise ValueError(f"test matrix is {omega.shape}, expected {(n, K)}")
-    # both in Fortran order, whatever layout a caller or the block map uses:
+    # both in Fortran order, whatever layout a caller or phi's block product uses:
     # small products such as omega'Y sum in an order that follows the layouts
     omega = np.asfortranarray(omega)
-    y = np.asfortranarray(phi.apply_block(omega))
+    y = np.asfortranarray(phi.apply(omega))
     nu = MACHINE_EPS * float(np.linalg.norm(omega))
     for attempt in range(5):
         y_nu = y + nu * omega
@@ -118,7 +118,7 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
         u[:, :r] /= np.sqrt(sigma_sq[:r])
         u[:, r:] = 0.0
         s_hat = np.maximum(sigma_sq - nu, 0.0)
-        return NystromFactor(u, s_hat, float(s_hat[-1]), nu, rng.seed)
+        return NystromFactor(u, s_hat, nu)
     raise np.linalg.LinAlgError(
         "Cholesky failed after shift escalation; operator is not PSD")
 
@@ -137,7 +137,6 @@ class Preconditioner:
     """Rank-structured preconditioner; all powers apply in O(N K)."""
 
     factor: NystromFactor
-    sqrt_tail: bool
     # diag of U'(P)U relative to identity: P = I + U diag(d - 1) U'
     d: np.ndarray = field(repr=False)
 
@@ -162,9 +161,9 @@ class Preconditioner:
         return max(1.0, float(1.0 / self.d.min()))
 
     def _structured(self, coef: np.ndarray, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
+        """v + U diag(coef) U' v for a vector v, or for each column of a block."""
         u = self.factor.U
-        return v + u @ (coef * (u.T @ v))
+        return columnwise(lambda x: x + u @ (coef * (u.T @ x)), u.shape[0])(v)
 
     def apply_P(self, v: np.ndarray) -> np.ndarray:
         return self._structured(self.d - 1.0, v)
@@ -180,15 +179,16 @@ def build_preconditioner(factor: NystromFactor, mu: float,
                          sqrt_tail: bool = False) -> Preconditioner:
     """Assemble the preconditioner from a sketch with regularization mu > 0.
 
-    With sqrt_tail the tail value s_K is replaced by sqrt(s_K), which keeps
-    the last sketched direction active; directions whose scaled eigenvalue
-    falls below 1 are dropped from ``Ubar``.
+    With sqrt_tail the tail value s_K = S_hat[-1] is replaced by sqrt(s_K),
+    which keeps the last sketched direction active; directions whose scaled
+    eigenvalue falls below 1 are dropped from ``Ubar``.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    tail = float(np.sqrt(factor.s_K)) if sqrt_tail else float(factor.s_K)
+    s_k = float(factor.S_hat[-1])
+    tail = float(np.sqrt(s_k)) if sqrt_tail else s_k
     d = (factor.S_hat + mu) / (tail + mu)
-    return Preconditioner(factor, sqrt_tail, d)
+    return Preconditioner(factor, d)
 
 
 def default_mu(factor: NystromFactor) -> float:

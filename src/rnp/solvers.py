@@ -153,15 +153,16 @@ def _group_magnitudes(values: np.ndarray, structure: GroupStructure,
 
 def update_weights(x: np.ndarray, A: LinearOperator, L: LinearOperator,
                    structure: GroupStructure, y: np.ndarray, p: float, q: float,
-                   eps_smooth: float, eps_smooth_q: Optional[float] = None
+                   eps_smooth: float, eps_smooth_q: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form reweighting: v = (p/2)|r|^(p-2) on residuals and
-    z = (q/2)|g|^(q-2) on group magnitudes, with magnitudes floored at
-    sqrt(eps_smooth) so the singular case stays finite.  z is shared across
-    the entries of each group; pass eps_smooth_q to floor it differently.
+    z = (q/2)|g|^(q-2) on group magnitudes, with residuals floored at
+    sqrt(eps_smooth) and group magnitudes at sqrt(eps_smooth_q) so the
+    singular case stays finite.  z is shared across the entries of each
+    group.
     """
-    if eps_smooth <= 0:
-        raise ValueError("eps_smooth must be positive")
+    if eps_smooth <= 0 or eps_smooth_q <= 0:
+        raise ValueError("eps_smooth and eps_smooth_q must be positive")
     if p == 2.0:
         v = np.ones(A.range_dim)
     else:
@@ -170,7 +171,7 @@ def update_weights(x: np.ndarray, A: LinearOperator, L: LinearOperator,
     if q == 2.0:
         z = np.ones(L.range_dim)
     else:
-        floor_q = np.sqrt(eps_smooth_q if eps_smooth_q is not None else eps_smooth)
+        floor_q = np.sqrt(eps_smooth_q)
         mag = _group_magnitudes(L.apply(x), structure, floor_q)
         z = np.repeat(0.5 * q * mag ** (q - 2.0), structure.group_size)
     return v, z

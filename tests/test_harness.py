@@ -279,8 +279,7 @@ class TestPerfectPreconditionerLimit:
         from rnp.problems import ProblemInstance
         truth = ImageGrid(n, 1, np.clip(rng.uniform(n), 0, 1))
         y = matrix_operator(mat).apply(truth.data)
-        prob = ProblemInstance("dense-toy", matrix_operator(mat),
-                               identity_operator(n),
+        prob = ProblemInstance(matrix_operator(mat), identity_operator(n),
                                GroupStructure("scalar", n, 1), y, truth)
         cmp = compare_inner_iterations(prob, 1.0, 1.0, 1e-3, n, [1, 2],
                                        inner_tol=1e-8, outer_max=4)

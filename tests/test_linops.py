@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rnp import linops
 from rnp.core import ImageGrid, Rng
 from rnp.linops import (DiagonalWeight, LinearOperator, adjoint_defect, blur_operator,
-                        compose, downsample_operator, grad_operator, gram_operator,
+                        columnwise, compose, downsample_operator, grad_operator, gram_operator,
                         hessian_operator, identity_operator, matrix_operator,
                         operator_norm_sq, radon_operator, to_dense, transpose,
                         wavelet_operator)
@@ -295,12 +295,12 @@ class TestRadon:
             assert np.array_equal(split.apply(xs[:, j]), whole.apply(xs[:, j]))
             assert np.array_equal(split.adjoint(ys[:, j]), whole.adjoint(ys[:, j]))
         assert pool.submits > 0
-        block, block_t = split.apply_block(xs), split.adjoint_block(ys)
+        block, block_t = split.apply(xs), split.adjoint(ys)
         for j in range(20):
             assert np.array_equal(block[:, j], whole.apply(xs[:, j]))
             assert np.array_equal(block_t[:, j], whole.adjoint(ys[:, j]))
-        assert np.array_equal(block, whole.apply_block(xs))
-        assert np.array_equal(block_t, whole.adjoint_block(ys))
+        assert np.array_equal(block, whole.apply(xs))
+        assert np.array_equal(block_t, whole.adjoint(ys))
 
     def test_block_count_follows_nonzeros_and_cores(self, monkeypatch):
         monkeypatch.setattr(linops, "_usable_cores", lambda: 4)
@@ -308,7 +308,7 @@ class TestRadon:
         monkeypatch.setattr(linops, "_shared_pool", lambda: pool)
         small = radon_operator(64, 60, 91)  # 0.44 M nonzeros: one block
         small.apply(np.ones(64 * 64))
-        small.adjoint_block(np.ones((60 * 91, 3)))
+        small.adjoint(np.ones((60 * 91, 3)))
         assert pool.submits == 0
         large = radon_operator(128, 60, 181)  # 1.77 M nonzeros: one block per core
         large.apply(np.ones(128 * 128))
@@ -460,37 +460,43 @@ class TestCombinators:
         y = rng.normal(3)
         assert np.allclose(t.apply(y), b.T @ (a.T @ y))
 
-    def test_default_block_maps_equal_the_column_loop(self):
+    def test_columnwise_block_maps_equal_the_vector_maps(self):
         rng = Rng(14)
         blur = blur_operator(gaussian_kernel(5, 1.2), 12, 10)
         xs = rng.normal(120 * 6).reshape(120, 6)
-        assert blur.block_apply is None and blur.block_adjoint is None
         expected = np.column_stack([blur.apply(x) for x in xs.T])
-        assert np.array_equal(blur.apply_block(xs), expected)
+        block = blur.apply(xs)
+        assert np.array_equal(block, expected) and block.flags.f_contiguous
         expected_t = np.column_stack([blur.adjoint(x) for x in xs.T])
-        assert np.array_equal(blur.adjoint_block(xs), expected_t)
+        assert np.array_equal(blur.adjoint(xs), expected_t)
+        # a vector reaches the vector map unchanged, and its image is returned as is
+        image = np.zeros(5)
+        seen = []
+        mapped = columnwise(lambda x: seen.append(x) or image, 5)
+        x = rng.normal(7)
+        assert mapped(x) is image and seen[0] is x
 
     def test_compose_and_transpose_use_native_block_maps(self):
         calls = []
 
         def native(name, fn):
-            def block(xs):
-                calls.append(name)
-                return np.column_stack([fn(x) for x in np.asarray(xs).T])
-            return block
+            def mapped(x):
+                calls.append((name, np.ndim(x)))
+                return fn(x)
+            return mapped
 
         mat = Rng(15).normal(12).reshape(3, 4)
-        op = LinearOperator(4, 3, lambda x: mat @ x, lambda y: mat.T @ y,
-                            native("apply", lambda x: mat @ x),
+        op = LinearOperator(4, 3, native("apply", lambda x: mat @ x),
                             native("adjoint", lambda y: mat.T @ y))
         xs, ys = np.eye(4)[:, :2], np.eye(3)[:, :2]
         outer = compose(op, identity_operator(4))
-        assert np.array_equal(outer.apply_block(xs), mat[:, :2])
-        assert np.array_equal(outer.adjoint_block(ys), mat.T[:, :2])
+        assert np.array_equal(outer.apply(xs), mat[:, :2])
+        assert np.array_equal(outer.adjoint(ys), mat.T[:, :2])
         t = transpose(op)
-        assert np.array_equal(t.apply_block(ys), mat.T[:, :2])
-        assert np.array_equal(t.adjoint_block(xs), mat[:, :2])
-        assert calls == ["apply", "adjoint", "adjoint", "apply"]
+        assert np.array_equal(t.apply(ys), mat.T[:, :2])
+        assert np.array_equal(t.adjoint(xs), mat[:, :2])
+        # each block reaches the native map whole, in one call
+        assert calls == [("apply", 2), ("adjoint", 2), ("adjoint", 2), ("apply", 2)]
 
     def test_every_operator_passes_randomized_adjoint_suite(self):
         blur = blur_operator(gaussian_kernel(9, 1.6), 16, 16)

@@ -152,5 +152,4 @@ class TestProblemInstanceValidation:
     def test_mismatched_measurement_rejected(self):
         prob = make_deblur("gauss9", 32, 0.0, Rng(0))
         with pytest.raises(ValueError):
-            ProblemInstance("bad", prob.A, prob.L, prob.structure,
-                            prob.y[:-1], prob.ground_truth)
+            ProblemInstance(prob.A, prob.L, prob.structure, prob.y[:-1], prob.ground_truth)

@@ -3,8 +3,8 @@ import pytest
 
 from rnp import linops
 from rnp.core import Rng, standard_normal_matrix
-from rnp.linops import (DiagonalWeight, LinearOperator, compose, gram_operator,
-                        matrix_operator, transpose)
+from rnp.linops import (DiagonalWeight, LinearOperator, columnwise, compose,
+                        gram_operator, matrix_operator, radon_operator, transpose)
 from rnp.problems import make_ct, make_deblur
 from rnp.sketch import (NystromFactor, build_preconditioner,
                         effective_dimension, nystrom_approx,
@@ -51,7 +51,6 @@ class TestNystromApprox:
         assert np.abs(gram - np.eye(10)).max() <= 1e-8
         assert np.all(np.diff(factor.S_hat) <= 0)
         assert np.all(factor.S_hat >= 0)
-        assert factor.s_K == factor.S_hat[-1]
 
     def test_result_is_psd(self):
         phi = random_psd(30, np.linspace(0.0, 1.0, 30), seed=10)
@@ -94,13 +93,13 @@ class TestNystromApprox:
                 pre = build_preconditioner(factor, mu)
                 # P^-1 (P v) loses about kappa(P) * eps relative accuracy; allow
                 # 500 eps of slack per unit of kappa(P)
-                kappa = (factor.S_hat[0] + mu) / (factor.s_K + mu)
+                kappa = (factor.S_hat[0] + mu) / (factor.S_hat[-1] + mu)
                 tol = 500 * np.finfo(float).eps * kappa
                 for v in standard_normal_matrix(60, 5, Rng(300 + seed)).T:
                     back = pre.apply_Pinv(pre.apply_P(v))
                     assert np.linalg.norm(back - v) <= tol * np.linalg.norm(v)
 
-    def test_block_sketch_of_ct_wavelet_normal_operator_equals_column_loop(self, monkeypatch):
+    def test_block_sketch_of_ct_wavelet_normal_operator_equals_columnwise_sketch(self, monkeypatch):
         # a split radon, so the sketch runs the split multi-vector product
         monkeypatch.setattr(linops, "_MIN_BLOCK_NNZ", 100_000)
         monkeypatch.setattr(linops, "_usable_cores", lambda: 3)
@@ -112,18 +111,45 @@ class TestNystromApprox:
             return fwd.adjoint(fwd.apply(x))
 
         block = nystrom_approx(compose(transpose(fwd), fwd), 20, Rng(51))
-        looped = nystrom_approx(LinearOperator(n, n, normal, normal), 20, Rng(51))
+        loop = columnwise(normal, n)
+        looped = nystrom_approx(LinearOperator(n, n, loop, loop), 20, Rng(51))
         assert np.array_equal(block.U, looped.U)
         assert np.array_equal(block.S_hat, looped.S_hat)
         assert block.shift == looped.shift
+
+    def test_rebuilt_radon_sketches_in_one_product_per_direction(self):
+        # an operator rebuilt from a radon operator's apply and adjoint, as a
+        # tracing wrapper builds it, keeps the native block product
+        radon = radon_operator(32, 20, 45)
+        shapes = {"apply": [], "adjoint": []}
+
+        def recorded(name, fn):
+            def mapped(x):
+                shapes[name].append(np.shape(x))
+                return fn(x)
+            return mapped
+
+        rebuilt = LinearOperator(radon.domain_dim, radon.range_dim,
+                                 recorded("apply", radon.apply),
+                                 recorded("adjoint", radon.adjoint))
+        factor = nystrom_approx(compose(transpose(rebuilt), rebuilt), 12, Rng(52))
+        assert shapes == {"apply": [(32 * 32, 12)], "adjoint": [(20 * 45, 12)]}
+        direct = nystrom_approx(compose(transpose(radon), radon), 12, Rng(52))
+        assert np.array_equal(factor.U, direct.U)
+        assert np.array_equal(factor.S_hat, direct.S_hat)
 
     def test_small_sketch_does_not_depend_on_the_block_map_layout(self):
         # 40 x 15 is small enough for BLAS kernels whose sums follow the
         # memory layout, so a C-ordered block result must not reach them
         d = np.exp(np.linspace(0.0, -6.0, 40))
-        looped = LinearOperator(40, 40, lambda x: d * x, lambda x: d * x)
-        c_block = LinearOperator(40, 40, looped.apply, looped.adjoint,
-                                 lambda xs: np.ascontiguousarray(d[:, None] * xs))
+        scale = columnwise(lambda x: d * x, 40)
+        looped = LinearOperator(40, 40, scale, scale)
+
+        def c_scale(x):
+            # the same products, with a block's image in C order
+            return np.ascontiguousarray((d * x.T).T)
+
+        c_block = LinearOperator(40, 40, c_scale, c_scale)
         a = nystrom_approx(looped, 15, Rng(63))
         b = nystrom_approx(c_block, 15, Rng(63))
         given = nystrom_approx(looped, 15, Rng(63),
@@ -228,11 +254,11 @@ class TestPreconditioner:
         assert eigs[-1] / eigs[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_sqrt_tail_drops_shrunk_columns(self):
-        factor = NystromFactor(np.eye(4)[:, :2], np.array([9.0, 4.0]), 4.0, 0.0, 0)
+        factor = NystromFactor(np.eye(4)[:, :2], np.array([9.0, 4.0]), 0.0)
         pre = build_preconditioner(factor, mu=1.0, sqrt_tail=True)
         # tail = 2: d = (S+1)/3 = [10/3, 5/3]; both radicands positive here
         assert pre.Ubar.shape[1] == 2
-        factor2 = NystromFactor(np.eye(4)[:, :2], np.array([9.0, 0.25]), 0.25, 0.0, 0)
+        factor2 = NystromFactor(np.eye(4)[:, :2], np.array([9.0, 0.25]), 0.0)
         pre2 = build_preconditioner(factor2, mu=1.0, sqrt_tail=True)
         # tail = 0.5: d = [10/1.5, 1.25/1.5]; second radicand negative, dropped
         assert pre2.Ubar.shape[1] == 1

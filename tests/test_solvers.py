@@ -19,7 +19,7 @@ from rnp.linops import (GroupStructure, LinearOperator, identity_operator,
 from rnp.problems import make_deblur, phantom
 from rnp.prox import (BoxConstraint, weighted_op_norm_sq, wpm_mixed_dual,
                       wpm_structured)
-from rnp.sketch import build_preconditioner, nystrom_approx
+from rnp.sketch import build_preconditioner, default_mu, nystrom_approx
 from rnp.solvers import (IrmConfig, WapgConfig, build_wapg_preconditioner,
                          default_eps_smooth, estimate_lipschitz_pnorm,
                          half_quadratic_constants, irm_cost, irm_solve,
@@ -122,17 +122,17 @@ class TestUpdateWeights:
 
     def test_p2_gives_unit_weights(self):
         v, z = update_weights(np.zeros(self.n), self.A, self.L, self.gs,
-                              Rng(1).normal(self.n), 2.0, 2.0, 1e-4)
+                              Rng(1).normal(self.n), 2.0, 2.0, 1e-4, 1e-4)
         assert np.all(v == 1.0) and np.all(z == 1.0)
 
     def test_p1_residual_four(self):
         v, _ = update_weights(np.zeros(self.n), self.A, self.L, self.gs,
-                              4.0 * np.ones(self.n), 1.0, 2.0, 1e-4)
+                              4.0 * np.ones(self.n), 1.0, 2.0, 1e-4, 1e-4)
         assert np.all(v == 0.125)
 
     def test_singular_residual_uses_floor(self):
         v, _ = update_weights(np.zeros(self.n), self.A, self.L, self.gs,
-                              np.zeros(self.n), 1.0, 2.0, 1e-4)
+                              np.zeros(self.n), 1.0, 2.0, 1e-4, 1e-4)
         assert np.all(v == 50.0)
 
     def test_group_magnitude_shared_across_group(self):
@@ -140,13 +140,19 @@ class TestUpdateWeights:
         L = LinearOperator(4, 4, lambda x: x.copy(), lambda y: y.copy())
         x = np.array([3.0, 4.0, 0.3, 0.4])
         _, z = update_weights(x, identity_operator(4), L, gs, np.zeros(4),
-                              2.0, 1.0, 1e-8)
+                              2.0, 1.0, 1e-8, 1e-8)
         assert z[0] == z[1] == pytest.approx(0.5 / 5.0)
         assert z[2] == z[3] == pytest.approx(0.5 / 0.5)
 
+    def test_nonpositive_floor_rejected(self):
+        for floors in ((0.0, 1e-4), (1e-4, 0.0), (1e-4, -1.0)):
+            with pytest.raises(ValueError):
+                update_weights(np.zeros(self.n), self.A, self.L, self.gs,
+                               np.zeros(self.n), 1.0, 1.0, *floors)
+
     def test_weights_always_positive_finite(self):
         v, z = update_weights(np.zeros(self.n), self.A, self.L, self.gs,
-                              np.zeros(self.n), 0.5, 0.5, 1e-6)
+                              np.zeros(self.n), 0.5, 0.5, 1e-6, 1e-6)
         assert np.all(v > 0) and np.all(np.isfinite(v))
         assert np.all(z > 0) and np.all(np.isfinite(z))
 
@@ -162,7 +168,7 @@ class TestIrmCost:
         y = rng.normal(n)
         x = rng.normal(n)
         for p, q in ((1.0, 1.0), (0.5, 1.5), (1.5, 0.5)):
-            v, z = update_weights(x, A, L, gs, y, p, q, 1e-30)
+            v, z = update_weights(x, A, L, gs, y, p, q, 1e-30, 1e-30)
             f = irm_cost(x, v, z, A, L, gs, y, 0.7, p, q)
             ref = original_cost(x, A, L, gs, y, 0.7, p, q)
             assert f == pytest.approx(ref, rel=1e-8)
@@ -575,11 +581,12 @@ class TestWapgSeparableApplies:
         pre, _ = build_wapg_preconditioner(prob, cfg, rng.spawn(0))
         img, trace = wapg_solve(prob, cfg, pre, rng.spawn(1))
         # each apply of the transformed forward map A L' and of its adjoint
-        # L A' calls L once: the sketch applies (L A')(A L') to K columns,
-        # the power iteration makes power_iters such applies, and an outer
-        # iteration takes the gradient (2 calls) and synthesises L'x once for
-        # its cost, its PSNR and, after the last one, the returned image
-        assert len(calls) == 2 * K + 2 * power_iters + 3 * outer
+        # L A' calls L once: the sketch applies (L A')(A L') to its K-column
+        # test matrix in one block call, the power iteration makes
+        # power_iters such applies, and an outer iteration takes the
+        # gradient (2 calls) and synthesises L'x once for its cost, its PSNR
+        # and, after the last one, the returned image
+        assert len(calls) == 2 + 2 * power_iters + 3 * outer
         # the last prox output is the final transform-domain iterate
         assert trace.costs[-1] == wapg_cost(prob, cfg, iterates[-1], img)
         assert np.array_equal(img, L.adjoint(iterates[-1]))
@@ -598,7 +605,7 @@ class TestCostClosedForms:
         p = q = 1.0
         lam = 0.7
         eps = 1e-4
-        v, z = update_weights(np.zeros(n), A, L, gs, np.zeros(n), p, q, eps)
+        v, z = update_weights(np.zeros(n), A, L, gs, np.zeros(n), p, q, eps, eps)
         f = irm_cost(np.zeros(n), v, z, A, L, gs, np.zeros(n), lam, p, q)
         a_p, b_p = half_quadratic_constants(p)
         floor_v = 0.5 * p * np.sqrt(eps) ** (p - 2.0)
@@ -615,7 +622,9 @@ class TestWapgVariants:
                          box=BoxConstraint(0.0, 1.0), sqrt_tail=True)
         rng = Rng(31)
         pre, _ = build_wapg_preconditioner(prob, cfg, rng.spawn(0))
-        assert pre.sqrt_tail and pre.sigma_max_pinv >= 1.0
+        assert pre.sigma_max_pinv >= 1.0
+        plain = build_preconditioner(pre.factor, default_mu(pre.factor))
+        assert not np.array_equal(pre.d, plain.d)
         _, trace = wapg_solve(prob, cfg, pre, rng.spawn(1))
         assert trace.costs[-1] < trace.costs[0]
 
