@@ -236,9 +236,6 @@ def write_trace_csv(path, trace: SolverTrace) -> None:
 
 @dataclass(frozen=True)
 class InnerIterationComparison:
-    per_outer_without: list[list[int]]  # one list per seed
-    per_outer_with: list[list[int]]
-    per_seed_reduction: list[float]
     median_reduction: float
 
 
@@ -247,14 +244,14 @@ def compare_inner_iterations(problem: ProblemInstance, p: float, q: float,
                              inner_tol: float = 1e-4, outer_max: int = 8,
                              inner_max: int = 20000) -> InnerIterationComparison:
     """Run the reweighted solver twice per seed (without and with the
-    preconditioner, identical streams) and report the inner-iteration
-    reduction 1 - sum(with)/sum(without).
+    preconditioner, identical streams) and report the median over seeds of
+    the inner-iteration reduction 1 - sum(with)/sum(without).
 
     Both runs start from zero with an uncapped inner budget so counts
     reflect solves to the same accuracy, never the iteration ceiling.
     """
     x0 = np.zeros(problem.A.domain_dim)
-    without, with_, reductions = [], [], []
+    reductions = []
     for seed in seeds:
         base_cfg = IrmConfig(p=p, q=q, lam=lam, inner_tol=inner_tol,
                              outer_max=outer_max, inner_max=inner_max,
@@ -264,11 +261,7 @@ def compare_inner_iterations(problem: ProblemInstance, p: float, q: float,
                             sketch_size=K)
         _, trace0 = irm_solve(problem, base_cfg, Rng(seed), x0=x0)
         _, trace1 = irm_solve(problem, pre_cfg, Rng(seed), x0=x0)
-        c0 = [int(v) for v in trace0.inner_iters]
-        c1 = [int(v) for v in trace1.inner_iters]
-        without.append(c0)
-        with_.append(c1)
-        total0 = sum(c0)
-        reductions.append(0.0 if total0 == 0 else 1.0 - sum(c1) / total0)
-    return InnerIterationComparison(without, with_, reductions,
-                                    float(np.median(reductions)))
+        total0 = int(trace0.inner_iters.sum())
+        total1 = int(trace1.inner_iters.sum())
+        reductions.append(0.0 if total0 == 0 else 1.0 - total1 / total0)
+    return InnerIterationComparison(float(np.median(reductions)))

@@ -16,7 +16,7 @@ from rnp import linops
 from rnp.core import ImageGrid, Rng, standard_normal_matrix
 from rnp.linops import (GroupStructure, LinearOperator, identity_operator,
                         matrix_operator)
-from rnp.problems import make_deblur, phantom
+from rnp.problems import make_ct, make_deblur, phantom
 from rnp.prox import (BoxConstraint, weighted_op_norm_sq, wpm_mixed_dual,
                       wpm_structured)
 from rnp.sketch import build_preconditioner, default_mu, nystrom_approx
@@ -24,6 +24,8 @@ from rnp.solvers import (IrmConfig, WapgConfig, build_wapg_preconditioner,
                          default_eps_smooth, estimate_lipschitz_pnorm,
                          half_quadratic_constants, irm_cost, irm_solve,
                          original_cost, update_weights, wapg_solve)
+
+from counting import counting
 
 
 @dataclass(frozen=True)
@@ -539,14 +541,16 @@ class TestWapg:
         assert np.abs(grad[on] + lam * np.sign(xbar[on])).max() <= 1e-5
         assert np.maximum(np.abs(grad[~on]) - lam, 0.0).max() <= 1e-5
 
-    def test_trace_is_well_formed(self):
+    @pytest.mark.parametrize("outer", [1, 2, 10])
+    def test_trace_is_well_formed(self, outer):
+        # the last row is appended after the loop, the others one iteration late
         n = 8
         y = Rng(18).normal(n)
         prob = scalar_toy(n, y)
-        cfg = WapgConfig(lam=0.05, phi=1, sketch_size=0, outer_max=10)
+        cfg = WapgConfig(lam=0.05, phi=1, sketch_size=0, outer_max=outer)
         _, trace = wapg_solve(prob, cfg, None, Rng(19))
         iters = [r.iter for r in trace.records]
-        assert iters == list(range(1, 11))
+        assert iters == list(range(1, outer + 1))
         elapsed = [r.elapsed_s for r in trace.records]
         assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
 
@@ -554,7 +558,6 @@ class TestWapg:
 class TestWapgSeparableApplies:
     def test_one_synthesis_per_outer_iteration(self, monkeypatch):
         import rnp.solvers as solvers
-        from rnp.problems import make_ct
         from rnp.solvers import build_wapg_preconditioner, wapg_cost
         iterates, states = [], []
 
@@ -566,11 +569,8 @@ class TestWapgSeparableApplies:
 
         monkeypatch.setattr(solvers, "wpm_structured", recording)
         prob = make_ct(32, 20, "wavelet", 0.01, Rng(40))
-        calls = []
         L = prob.L
-        counted = LinearOperator(L.domain_dim, L.range_dim,
-                                 lambda x: calls.append(1) or L.apply(x),
-                                 lambda w: calls.append(1) or L.adjoint(w))
+        counted, calls = counting(L)
         prob = dataclasses.replace(prob, L=counted)
         # make_ct checked the adjoints of the original L; replace checks none
         assert not calls
@@ -584,14 +584,68 @@ class TestWapgSeparableApplies:
         # L A' calls L once: the sketch applies (L A')(A L') to its K-column
         # test matrix in one block call, the power iteration makes
         # power_iters such applies, and an outer iteration takes the
-        # gradient (2 calls) and synthesises L'x once for its cost, its PSNR
-        # and, after the last one, the returned image
-        assert len(calls) == 2 + 2 * power_iters + 3 * outer
+        # gradient (2 calls) and synthesises L'x once for its PSNR and, after
+        # the last one, for the direct A apply of the final cost and the
+        # returned image
+        assert calls.total() == 2 + 2 * power_iters + 3 * outer
         # the last prox output is the final transform-domain iterate
-        assert trace.costs[-1] == wapg_cost(prob, cfg, iterates[-1], img)
+        assert trace.costs[-1] == wapg_cost(prob, cfg, iterates[-1], prob.A.apply(img))
         assert np.array_equal(img, L.adjoint(iterates[-1]))
         # one Newton state carries gamma from each soft threshold to the next
         assert states[0] is not None and all(s is states[0] for s in states)
+
+
+class TestWapgForwardProducts:
+    """The trace cost of iterate k takes A img(x_k) from iteration k+1's
+    forward product; only the last iterate's is computed directly."""
+
+    @staticmethod
+    def _ct(kind):
+        prob = make_ct(32, 12, kind, 0.01, Rng(50))
+        return prob, "separable" if kind == "wavelet" else "dual"
+
+    @pytest.mark.parametrize("kind", ["tv", "wavelet"])
+    def test_two_forward_products_per_iteration(self, kind):
+        prob, mode = self._ct(kind)
+        alpha = 1.0 / (1.1 * estimate_lipschitz_pnorm(prob.A, None, 20, Rng(51)))
+        A, calls = counting(prob.A)
+        prob = dataclasses.replace(prob, A=A)
+        outer = 5
+        cfg = WapgConfig(lam=0.02, sketch_size=0, alpha=alpha, outer_max=outer,
+                         prox_mode=mode, box=BoxConstraint(0.0, 1.0))
+        wapg_solve(prob, cfg, None, Rng(52))
+        # the gradient's A and A' per iteration, and A img of the last iterate
+        assert calls["apply"] == outer + 1
+        assert calls["adjoint"] == outer
+
+    @pytest.mark.parametrize("K", [0, 6])
+    @pytest.mark.parametrize("kind", ["tv", "wavelet"])
+    def test_trace_costs_match_direct_costs(self, kind, K, monkeypatch):
+        import rnp.solvers as solvers
+        from rnp.solvers import wapg_cost
+        prob, mode = self._ct(kind)
+        prox = "wpm_structured" if mode == "separable" else "wpm_mixed_dual"
+        iterates = []
+        original = getattr(solvers, prox)
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            iterates.append(result[0])
+            return result
+
+        monkeypatch.setattr(solvers, prox, recording)
+        outer = 8
+        cfg = WapgConfig(lam=0.02, sketch_size=K, power_iters=10, outer_max=outer,
+                         prox_mode=mode, box=BoxConstraint(0.0, 1.0))
+        rng = Rng(53)
+        pre, _ = build_wapg_preconditioner(prob, cfg, rng.spawn(0))
+        _, trace = wapg_solve(prob, cfg, pre, rng.spawn(1))
+        assert len(iterates) == outer
+        direct = [wapg_cost(prob, cfg, x,
+                            prob.A.apply(prob.L.adjoint(x) if mode == "separable" else x))
+                  for x in iterates]
+        np.testing.assert_allclose(trace.costs[:-1], direct[:-1], rtol=1e-12, atol=0)
+        assert trace.costs[-1] == direct[-1]
 
 
 class TestCostClosedForms:
