@@ -203,7 +203,8 @@ def group_pairing(q: np.ndarray, v: np.ndarray, structure: GroupStructure) -> fl
 
 def weighted_op_norm_sq(op: LinearOperator, structure: GroupStructure,
                         iters: int, rng: Rng) -> float:
-    """lambda_max of L' W L where W carries the group component weights."""
+    """Lanczos estimate from below of lambda_max(L' W L), W the group
+    component weights, in at most ``iters`` steps (``operator_norm_sq``)."""
     sqrt_w = np.sqrt(structure.range_weights)
     weighted = LinearOperator(op.domain_dim, op.range_dim,
                               columnwise(lambda x: sqrt_w * op.apply(x), op.range_dim),

@@ -113,7 +113,6 @@ class WapgConfig:
     lam: float
     phi: float = 1
     sketch_size: int = 20
-    power_iters: int = 30
     alpha: Optional[float] = None  # None: 1 / (1.1 * estimated Lipschitz)
     outer_max: int = 60
     box: BoxConstraint = BoxConstraint()
@@ -151,11 +150,11 @@ def _group_magnitudes(values: np.ndarray, structure: GroupStructure,
     return np.maximum(mag, floor)
 
 
-def update_weights(x: np.ndarray, A: LinearOperator, L: LinearOperator,
-                   structure: GroupStructure, y: np.ndarray, p: float, q: float,
-                   eps_smooth: float, eps_smooth_q: float
+def update_weights(res: np.ndarray, lx: np.ndarray, structure: GroupStructure,
+                   p: float, q: float, eps_smooth: float, eps_smooth_q: float
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form reweighting: v = (p/2)|r|^(p-2) on residuals and
+    """Closed-form reweighting at an iterate x, given its residual
+    ``res = A x - y`` and ``lx = L x``: v = (p/2)|r|^(p-2) on residuals and
     z = (q/2)|g|^(q-2) on group magnitudes, with residuals floored at
     sqrt(eps_smooth) and group magnitudes at sqrt(eps_smooth_q) so the
     singular case stays finite.  z is shared across the entries of each
@@ -164,33 +163,29 @@ def update_weights(x: np.ndarray, A: LinearOperator, L: LinearOperator,
     if eps_smooth <= 0 or eps_smooth_q <= 0:
         raise ValueError("eps_smooth and eps_smooth_q must be positive")
     if p == 2.0:
-        v = np.ones(A.range_dim)
+        v = np.ones(res.size)
     else:
-        res = np.maximum(np.abs(A.apply(x) - y), np.sqrt(eps_smooth))
-        v = 0.5 * p * res ** (p - 2.0)
+        v = 0.5 * p * np.maximum(np.abs(res), np.sqrt(eps_smooth)) ** (p - 2.0)
     if q == 2.0:
-        z = np.ones(L.range_dim)
+        z = np.ones(lx.size)
     else:
-        floor_q = np.sqrt(eps_smooth_q)
-        mag = _group_magnitudes(L.apply(x), structure, floor_q)
+        mag = _group_magnitudes(lx, structure, np.sqrt(eps_smooth_q))
         z = np.repeat(0.5 * q * mag ** (q - 2.0), structure.group_size)
     return v, z
 
 
-def irm_cost(x: np.ndarray, v: np.ndarray, z: np.ndarray, A: LinearOperator,
-             L: LinearOperator, structure: GroupStructure, y: np.ndarray,
-             lam: float, p: float, q: float) -> float:
-    """Half-quadratic surrogate value; exact quadratic terms plus the
+def irm_cost(res: np.ndarray, lx: np.ndarray, v: np.ndarray, z: np.ndarray,
+             structure: GroupStructure, lam: float, p: float, q: float) -> float:
+    """Half-quadratic surrogate value at an iterate x, given its residual
+    ``res = A x - y`` and ``lx = L x``; exact quadratic terms plus the
     barrier-like penalties that make its envelope match the p/q powers.
     The p=2 (or q=2) branch returns the plain quadratic directly.
     """
-    res = A.apply(x) - y
     if p == 2.0:
         data = 0.5 * float(np.dot(res, res))
     else:
         a_p, b_p = half_quadratic_constants(p)
         data = (1.0 / p) * float(np.sum(v * res * res + 1.0 / (b_p * v ** a_p)))
-    lx = L.apply(x)
     groups = structure.as_groups(lx)
     sq = (groups * groups * structure.component_weights).sum(axis=1)
     if q == 2.0:
@@ -230,6 +225,9 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
     trace is the same with one core or two.  At most one draw is in flight,
     and none is left running on return.
 
+    The residual A x - y and L x of each new iterate serve both its trace
+    cost and the next iteration's reweighting, so each is computed once.
+
     When no ``x0`` is given, iteration 1 runs with unit weights (the
     p=q=2 subproblem) and only later iterations reweight.  For p < 1 the
     first weights would otherwise be computed at an arbitrary point and
@@ -247,12 +245,14 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
     ahead: Optional[tuple[int, Future]] = None  # (iteration, its test matrix being drawn)
     trace = SolverTrace()
     start = time.perf_counter()
+    if not warmup:
+        res, lx = A.apply(x) - y, L.apply(x)
     try:
         for k in range(1, cfg.outer_max + 1):
             if warmup and k == 1:
                 v, z = np.ones(A.range_dim), np.ones(L.range_dim)
             else:
-                v, z = update_weights(x, A, L, structure, y, cfg.p, cfg.q,
+                v, z = update_weights(res, lx, structure, cfg.p, cfg.q,
                                       default_eps_smooth(cfg.p), default_eps_smooth(cfg.q))
             wf = DiagonalWeight((2.0 / cfg.p) * v)
             wg = DiagonalWeight((2.0 / cfg.q) * z)
@@ -280,7 +280,8 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
             report = pcg(phi, rhs, None, tol=cfg.inner_tol, maxiter=cfg.inner_max, x0=x,
                          build_pinv=sketch_pinv if K > 0 else None)
             x_new = report.solution
-            cost = irm_cost(x_new, v, z, A, L, structure, y, cfg.lam, cfg.p, cfg.q)
+            res, lx = A.apply(x_new) - y, L.apply(x_new)
+            cost = irm_cost(res, lx, v, z, structure, cfg.lam, cfg.p, cfg.q)
             if not np.isfinite(cost):
                 raise FloatingPointError(f"non-finite cost at outer iteration {k}")
             trace.append(iter=k, elapsed_s=time.perf_counter() - start, cost=cost,
@@ -310,12 +311,18 @@ def _problem_psnr(problem, x: np.ndarray) -> float:
 
 def estimate_lipschitz_pnorm(A: LinearOperator, pre: Optional[Preconditioner],
                              iters: int, rng: Rng) -> float:
-    """Power-iteration estimate of lambda_max(P^-1/2 A'A P^-1/2), i.e. of
-    ||A P^-1/2||^2 (``operator_norm_sq``)."""
+    """Lanczos estimate from below of lambda_max(P^-1/2 A'A P^-1/2), i.e. of
+    ||A P^-1/2||^2, in at most ``iters`` steps (``operator_norm_sq``)."""
     if pre is not None:
         n = A.domain_dim
         A = compose(A, LinearOperator(n, n, pre.apply_Pinvhalf, pre.apply_Pinvhalf))
     return operator_norm_sq(A, iters, rng)
+
+
+# Caps on the Lanczos steps of WAPG's two norm estimates; both usually stop
+# well before (see ``linops.operator_norm_sq``).
+LIPSCHITZ_STEPS = 30
+L_NORM_STEPS = 100
 
 
 def _effective_forward(problem, cfg: WapgConfig) -> LinearOperator:
@@ -368,13 +375,13 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
     if cfg.alpha is not None:
         alpha = cfg.alpha
     else:
-        lip = estimate_lipschitz_pnorm(fwd, pre, cfg.power_iters, rng.spawn(0))
+        lip = estimate_lipschitz_pnorm(fwd, pre, LIPSCHITZ_STEPS, rng.spawn(0))
         alpha = 1.0 / (1.1 * lip)
     separable = cfg.prox_mode == "separable"
     l_norm_sq = None
     if not separable:
         l_norm_sq = 1.05 * weighted_op_norm_sq(problem.L, problem.structure,
-                                               100, rng.spawn(1))
+                                               L_NORM_STEPS, rng.spawn(1))
     tau = alpha * cfg.lam
     x = np.zeros(n)
     u = x.copy()

@@ -16,6 +16,8 @@ from rnp.linops import (DiagonalWeight, LinearOperator, adjoint_defect, blur_ope
                         wavelet_operator)
 from rnp.problems import gaussian_kernel, uniform_kernel
 
+from counting import counting
+
 
 def vec(m):
     return ImageGrid.from_matrix(np.asarray(m, dtype=float)).data
@@ -372,6 +374,43 @@ class TestRadon:
             op.apply(np.ones(100))
 
 
+    def test_builds_of_one_geometry_share_the_matrices(self):
+        linops._radon_matrices.cache_clear()
+        first = radon_operator(32, 20, 45)
+        second = radon_operator(32, 20, 45)
+        info = linops._radon_matrices.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        mat, mat_t = linops._radon_matrices.__wrapped__(32, 20, 45)  # uncached assembly
+        rng = Rng(17)
+        xs, ys = rng.normal(32 * 32 * 3).reshape(-1, 3), rng.normal(20 * 45 * 3).reshape(-1, 3)
+        for op in (first, second):
+            assert np.array_equal(op.apply(xs), mat @ xs)
+            assert np.array_equal(op.adjoint(ys), mat_t @ ys)
+            assert np.array_equal(op.apply(xs[:, 1]), mat @ xs[:, 1])
+            assert np.array_equal(op.adjoint(ys[:, 2]), mat_t @ ys[:, 2])
+
+    def test_cached_geometry_still_splits_by_the_cores_at_build(self, monkeypatch):
+        pool = CountingPool()
+        monkeypatch.setattr(linops, "_shared_pool", lambda: pool)
+        monkeypatch.setattr(linops, "_usable_cores", lambda: 1)
+        whole = radon_operator(128, 60, 181)
+        monkeypatch.setattr(linops, "_usable_cores", lambda: 2)
+        split = radon_operator(128, 60, 181)
+        assert linops._radon_matrices.cache_info().currsize == 1
+        x = np.ones(128 * 128)
+        expected = whole.apply(x)
+        assert pool.submits == 0
+        assert np.array_equal(split.apply(x), expected)
+        assert pool.submits == 1
+
+    def test_cached_arrays_are_read_only(self):
+        radon_operator(16, 8, 23)
+        for mat in linops._radon_matrices(16, 8, 23):
+            for arr in (mat.data, mat.indices, mat.indptr):
+                with pytest.raises(ValueError):
+                    arr[0] = arr[0]
+
+
 class CountingPool:
     """Stands in for the shared pool: runs each task at once and counts it."""
 
@@ -446,6 +485,47 @@ class TestOperatorNorm:
         op = matrix_operator(np.diag([1.0, 5.0]))
         for iters in (1, 2, 5, 20):
             assert operator_norm_sq(op, iters, Rng(5)) <= 25.0 + 1e-12
+
+
+    @pytest.mark.parametrize("kind", ["psd", "rectangular", "low_rank"])
+    def test_never_exceeds_the_dense_top_eigenvalue(self, kind):
+        rng = Rng(6)
+        g = np.asarray([rng.normal(20) for _ in range(30)])
+        mat = {"psd": g.T @ g, "rectangular": g,
+               "low_rank": g[:, :3] @ np.asarray([rng.normal(20) for _ in range(3)])}[kind]
+        top = np.linalg.eigvalsh(mat.T @ mat)[-1]
+        for seed in range(5):
+            for iters in (1, 2, 5, 50):
+                est = operator_norm_sq(matrix_operator(mat), iters, Rng(7 + seed))
+                assert 0.0 < est <= top * (1.0 + 1e-12)
+
+    def test_zero_operator_gives_exactly_zero(self):
+        zero = matrix_operator(np.zeros((5, 7)))
+        for iters in (1, 10):
+            assert operator_norm_sq(zero, iters, Rng(8)) == 0.0
+
+    @pytest.mark.parametrize("stencil", [grad_operator, hessian_operator])
+    def test_stencils_within_1e3_of_the_dense_top_eigenvalue(self, stencil):
+        op, _ = stencil(32, 32)
+        dense = to_dense(op)
+        top = np.linalg.eigvalsh(dense.T @ dense)[-1]
+        for seed in range(5):
+            est = operator_norm_sq(op, 100, Rng(9 + seed))
+            assert top * (1.0 - 1e-3) <= est <= top * (1.0 + 1e-12)
+
+    def test_iters_caps_the_steps(self):
+        # each Lanczos step applies the operator and its adjoint once
+        op, _ = grad_operator(16, 16)
+        for iters in (1, 3, 7):
+            counted, calls = counting(op)
+            operator_norm_sq(counted, iters, Rng(10))
+            assert calls["apply"] == calls["adjoint"] == iters
+
+    def test_stops_at_breakdown(self):
+        # a Krylov space of the diagonal map spans its 3 eigenvectors
+        counted, calls = counting(matrix_operator(np.diag([1.0, 2.0, 3.0] * 2)))
+        assert operator_norm_sq(counted, 50, Rng(11)) == pytest.approx(9.0, rel=1e-14)
+        assert calls["apply"] == 3
 
 
 class TestCombinators:

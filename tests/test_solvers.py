@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -14,13 +15,15 @@ import pytest
 
 from rnp import linops
 from rnp.core import ImageGrid, Rng, standard_normal_matrix
-from rnp.linops import (GroupStructure, LinearOperator, identity_operator,
-                        matrix_operator)
+from rnp.krylov import pcg
+from rnp.linops import (GroupStructure, LinearOperator, grad_operator, hessian_operator,
+                        identity_operator, matrix_operator)
 from rnp.problems import make_ct, make_deblur, phantom
 from rnp.prox import (BoxConstraint, weighted_op_norm_sq, wpm_mixed_dual,
                       wpm_structured)
 from rnp.sketch import build_preconditioner, default_mu, nystrom_approx
-from rnp.solvers import (IrmConfig, WapgConfig, build_wapg_preconditioner,
+from rnp.solvers import (L_NORM_STEPS, LIPSCHITZ_STEPS, IrmConfig, WapgConfig,
+                         _effective_forward, build_wapg_preconditioner,
                          default_eps_smooth, estimate_lipschitz_pnorm,
                          half_quadratic_constants, irm_cost, irm_solve,
                          original_cost, update_weights, wapg_solve)
@@ -116,45 +119,41 @@ class TestHalfQuadratic:
 
 
 class TestUpdateWeights:
+    # update_weights takes the residual A x - y and L x of the iterate x;
+    # with x = 0 both are given directly
     def setup_method(self):
         self.n = 4
-        self.A = identity_operator(self.n)
-        self.L = identity_operator(self.n)
+        self.zero = np.zeros(self.n)
         self.gs = GroupStructure("scalar", self.n, 1)
 
     def test_p2_gives_unit_weights(self):
-        v, z = update_weights(np.zeros(self.n), self.A, self.L, self.gs,
-                              Rng(1).normal(self.n), 2.0, 2.0, 1e-4, 1e-4)
+        v, z = update_weights(-Rng(1).normal(self.n), self.zero, self.gs,
+                              2.0, 2.0, 1e-4, 1e-4)
         assert np.all(v == 1.0) and np.all(z == 1.0)
 
     def test_p1_residual_four(self):
-        v, _ = update_weights(np.zeros(self.n), self.A, self.L, self.gs,
-                              4.0 * np.ones(self.n), 1.0, 2.0, 1e-4, 1e-4)
+        v, _ = update_weights(-4.0 * np.ones(self.n), self.zero, self.gs,
+                              1.0, 2.0, 1e-4, 1e-4)
         assert np.all(v == 0.125)
 
     def test_singular_residual_uses_floor(self):
-        v, _ = update_weights(np.zeros(self.n), self.A, self.L, self.gs,
-                              np.zeros(self.n), 1.0, 2.0, 1e-4, 1e-4)
+        v, _ = update_weights(self.zero, self.zero, self.gs, 1.0, 2.0, 1e-4, 1e-4)
         assert np.all(v == 50.0)
 
     def test_group_magnitude_shared_across_group(self):
         gs = GroupStructure("vector", 2, 2)
-        L = LinearOperator(4, 4, lambda x: x.copy(), lambda y: y.copy())
-        x = np.array([3.0, 4.0, 0.3, 0.4])
-        _, z = update_weights(x, identity_operator(4), L, gs, np.zeros(4),
-                              2.0, 1.0, 1e-8, 1e-8)
+        lx = np.array([3.0, 4.0, 0.3, 0.4])
+        _, z = update_weights(np.zeros(4), lx, gs, 2.0, 1.0, 1e-8, 1e-8)
         assert z[0] == z[1] == pytest.approx(0.5 / 5.0)
         assert z[2] == z[3] == pytest.approx(0.5 / 0.5)
 
     def test_nonpositive_floor_rejected(self):
         for floors in ((0.0, 1e-4), (1e-4, 0.0), (1e-4, -1.0)):
             with pytest.raises(ValueError):
-                update_weights(np.zeros(self.n), self.A, self.L, self.gs,
-                               np.zeros(self.n), 1.0, 1.0, *floors)
+                update_weights(self.zero, self.zero, self.gs, 1.0, 1.0, *floors)
 
     def test_weights_always_positive_finite(self):
-        v, z = update_weights(np.zeros(self.n), self.A, self.L, self.gs,
-                              np.zeros(self.n), 0.5, 0.5, 1e-6, 1e-6)
+        v, z = update_weights(self.zero, self.zero, self.gs, 0.5, 0.5, 1e-6, 1e-6)
         assert np.all(v > 0) and np.all(np.isfinite(v))
         assert np.all(z > 0) and np.all(np.isfinite(z))
 
@@ -170,19 +169,18 @@ class TestIrmCost:
         y = rng.normal(n)
         x = rng.normal(n)
         for p, q in ((1.0, 1.0), (0.5, 1.5), (1.5, 0.5)):
-            v, z = update_weights(x, A, L, gs, y, p, q, 1e-30, 1e-30)
-            f = irm_cost(x, v, z, A, L, gs, y, 0.7, p, q)
+            res, lx = A.apply(x) - y, L.apply(x)
+            v, z = update_weights(res, lx, gs, p, q, 1e-30, 1e-30)
+            f = irm_cost(res, lx, v, z, gs, 0.7, p, q)
             ref = original_cost(x, A, L, gs, y, 0.7, p, q)
             assert f == pytest.approx(ref, rel=1e-8)
 
     def test_p2_branch_is_plain_quadratic(self):
         n = 6
-        A = identity_operator(n)
-        L = identity_operator(n)
         gs = GroupStructure("scalar", n, 1)
         y = Rng(3).normal(n)
         x = Rng(4).normal(n)
-        f = irm_cost(x, np.ones(n), np.ones(n), A, L, gs, y, 2.0, 2.0, 2.0)
+        f = irm_cost(x - y, x, np.ones(n), np.ones(n), gs, 2.0, 2.0, 2.0)
         expected = 0.5 * np.sum((x - y) ** 2) + np.sum(x ** 2)
         assert f == pytest.approx(expected, rel=1e-12)
 
@@ -410,6 +408,33 @@ class TestIrmSolve:
             irm_solve(prob, cfg, Rng(0))
 
 
+class TestIrmProducts:
+    def test_one_forward_product_per_iterate_outside_pcg(self, monkeypatch):
+        # the residual and L x of each new iterate serve its trace cost and
+        # the next reweighting; the parent computed both twice per iterate
+        import rnp.solvers as solvers
+        prob = make_deblur("gauss9", 32, 0.05, Rng(0))
+        A, a_calls = counting(prob.A)
+        L, l_calls = counting(prob.L)
+        prob = dataclasses.replace(prob, A=A, L=L)
+        inside = Counter()
+
+        def counted_pcg(*args, **kwargs):
+            before = a_calls["apply"], l_calls["apply"]
+            report = pcg(*args, **kwargs)
+            inside["A"] += a_calls["apply"] - before[0]
+            inside["L"] += l_calls["apply"] - before[1]
+            return report
+
+        monkeypatch.setattr(solvers, "pcg", counted_pcg)
+        cfg = IrmConfig(p=1.0, q=1.0, lam=0.05, outer_max=5, sketch_size=8, outer_tol=0.0)
+        _, trace = irm_solve(prob, cfg, Rng(3))
+        outer = len(trace.records)
+        assert outer == 5
+        assert a_calls["apply"] - inside["A"] == outer
+        assert l_calls["apply"] - inside["L"] == outer
+
+
 class TestLipschitzEstimate:
     def test_orthonormal_map_gives_one(self):
         q, _ = np.linalg.qr(standard_normal_matrix(12, 12, Rng(6)))
@@ -420,37 +445,54 @@ class TestLipschitzEstimate:
         op = matrix_operator(np.diag([1.0, 2.0, 3.0]))
         assert estimate_lipschitz_pnorm(op, None, 80, Rng(8)) == pytest.approx(9.0, abs=1e-6)
 
-    def test_equals_its_former_power_loop_bitwise(self):
-        from rnp.linops import compose, transpose
-        from rnp.problems import make_ct
-
-        def former_loop(A, pre, iters, rng):  # estimate_lipschitz_pnorm's own loop, kept as reference
-            def op(v):
-                w = pre.apply_Pinvhalf(v) if pre is not None else v
-                w = A.adjoint(A.apply(w))
-                return pre.apply_Pinvhalf(w) if pre is not None else w
-
-            v = rng.normal(A.domain_dim)
-            v /= np.linalg.norm(v)
-            est = 0.0
-            for _ in range(iters):
-                w = op(v)
-                est = float(np.dot(v, w))
-                nw = np.linalg.norm(w)
-                if nw == 0.0:
-                    return 0.0
-                v = w / nw
-            return est
+    def test_equals_operator_norm_sq_of_the_composed_operator_bitwise(self):
+        from rnp.linops import compose, operator_norm_sq, transpose
 
         prob = make_ct(32, 20, "wavelet", 0.01, Rng(60))
         fwd = compose(prob.A, transpose(prob.L))
         pre, _ = build_wapg_preconditioner(prob, WapgConfig(lam=0.02, sketch_size=8,
                                                             prox_mode="separable"), Rng(61))
-        for p in (None, pre):
+        n = fwd.domain_dim
+        half = LinearOperator(n, n, pre.apply_Pinvhalf, pre.apply_Pinvhalf)
+        for p, op in ((None, fwd), (pre, compose(fwd, half))):
             for iters in (1, 30):
                 assert (estimate_lipschitz_pnorm(fwd, p, iters, Rng(62))
-                        == former_loop(fwd, p, iters, Rng(62)))
+                        == operator_norm_sq(op, iters, Rng(62)))
         assert estimate_lipschitz_pnorm(matrix_operator(np.zeros((3, 4))), None, 5, Rng(63)) == 0.0
+
+    def test_preconditioned_radon_within_1e3_of_dense_top_eigenvalue(self):
+        from rnp.linops import compose, radon_operator, to_dense, transpose
+        A = radon_operator(24, 12, 35)
+        factor = nystrom_approx(compose(transpose(A), A), 8, Rng(64))
+        pre = build_preconditioner(factor, default_mu(factor), sqrt_tail=False)
+        half = np.column_stack([pre.apply_Pinvhalf(col) for col in np.eye(A.domain_dim)])
+        dense = to_dense(A) @ half
+        top = np.linalg.eigvalsh(dense.T @ dense)[-1]
+        for seed in range(5):
+            est = estimate_lipschitz_pnorm(A, pre, LIPSCHITZ_STEPS, Rng(65 + seed))
+            assert top * (1.0 - 1e-3) <= est <= top * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("kind, n, K, steps", [
+        ("wavelet", 128, 0, 7), ("wavelet", 128, 20, 12), ("tv", 64, 0, 7), ("tv", 64, 20, 16)])
+    def test_lipschitz_estimate_stops_early(self, kind, n, K, steps):
+        # the benchmark's CT geometries; the cap is LIPSCHITZ_STEPS = 30
+        prob = make_ct(n, 60, kind, 0.01, Rng(70))
+        cfg = WapgConfig(lam=0.02, sketch_size=K,
+                         prox_mode="separable" if kind == "wavelet" else "dual")
+        rng = Rng(71)
+        pre, _ = build_wapg_preconditioner(prob, cfg, rng.spawn(0))
+        fwd, calls = counting(_effective_forward(prob, cfg))
+        estimate_lipschitz_pnorm(fwd, pre, LIPSCHITZ_STEPS, rng.spawn(1))
+        assert calls["apply"] == calls["adjoint"] == steps
+
+    @pytest.mark.parametrize("stencil, n, steps", [
+        (grad_operator, 64, 52), (grad_operator, 128, 62), (hessian_operator, 64, 41)])
+    def test_l_norm_estimate_stops_early(self, stencil, n, steps):
+        # the cap is L_NORM_STEPS = 100, the power iteration's former count
+        op, gs = stencil(n, n)
+        counted, calls = counting(op)
+        weighted_op_norm_sq(counted, gs, L_NORM_STEPS, Rng(72))
+        assert calls["apply"] == calls["adjoint"] == steps
 
     def test_matches_dense_generalized_eigenvalue(self):
         rng = Rng(9)
@@ -511,7 +553,7 @@ class TestWapg:
                           GroupStructure("scalar", 8, 1), y,
                           ImageGrid(8, 1, np.zeros(8)))
         cfg = WapgConfig(lam=0.0, phi=1, sketch_size=0, outer_max=400,
-                         box=BoxConstraint(), power_iters=80)
+                         box=BoxConstraint())
         x, _ = wapg_solve(prob, cfg, None, Rng(15))
         ref = np.linalg.solve(mat.T @ mat, mat.T @ y)
         d = x - ref
@@ -529,7 +571,7 @@ class TestWapg:
                           ImageGrid(n, 1, np.zeros(n)))
         lam = 0.3
         cfg = WapgConfig(lam=lam, phi=1, sketch_size=4, outer_max=4000,
-                         prox_mode="separable", power_iters=80)
+                         prox_mode="separable")
         rng_s = Rng(17)
         from rnp.solvers import build_wapg_preconditioner
         pre, _ = build_wapg_preconditioner(prob, cfg, rng_s.spawn(0))
@@ -574,20 +616,20 @@ class TestWapgSeparableApplies:
         prob = dataclasses.replace(prob, L=counted)
         # make_ct checked the adjoints of the original L; replace checks none
         assert not calls
-        K, power_iters, outer = 8, 5, 4
-        cfg = WapgConfig(lam=0.02, sketch_size=K, power_iters=power_iters,
-                         outer_max=outer, prox_mode="separable")
+        K, lanczos_steps, outer = 8, 5, 4
+        monkeypatch.setattr(solvers, "LIPSCHITZ_STEPS", lanczos_steps)
+        cfg = WapgConfig(lam=0.02, sketch_size=K, outer_max=outer, prox_mode="separable")
         rng = Rng(41)
         pre, _ = build_wapg_preconditioner(prob, cfg, rng.spawn(0))
         img, trace = wapg_solve(prob, cfg, pre, rng.spawn(1))
         # each apply of the transformed forward map A L' and of its adjoint
         # L A' calls L once: the sketch applies (L A')(A L') to its K-column
-        # test matrix in one block call, the power iteration makes
-        # power_iters such applies, and an outer iteration takes the
-        # gradient (2 calls) and synthesises L'x once for its PSNR and, after
-        # the last one, for the direct A apply of the final cost and the
-        # returned image
-        assert calls.total() == 2 + 2 * power_iters + 3 * outer
+        # test matrix in one block call, the Lipschitz estimate runs its
+        # lanczos_steps such applies (it stops no earlier on this operator),
+        # and an outer iteration takes the gradient (2 calls) and synthesises
+        # L'x once for its PSNR and, after the last one, for the direct A
+        # apply of the final cost and the returned image
+        assert calls.total() == 2 + 2 * lanczos_steps + 3 * outer
         # the last prox output is the final transform-domain iterate
         assert trace.costs[-1] == wapg_cost(prob, cfg, iterates[-1], prob.A.apply(img))
         assert np.array_equal(img, L.adjoint(iterates[-1]))
@@ -635,7 +677,7 @@ class TestWapgForwardProducts:
 
         monkeypatch.setattr(solvers, prox, recording)
         outer = 8
-        cfg = WapgConfig(lam=0.02, sketch_size=K, power_iters=10, outer_max=outer,
+        cfg = WapgConfig(lam=0.02, sketch_size=K, outer_max=outer,
                          prox_mode=mode, box=BoxConstraint(0.0, 1.0))
         rng = Rng(53)
         pre, _ = build_wapg_preconditioner(prob, cfg, rng.spawn(0))
@@ -653,14 +695,13 @@ class TestCostClosedForms:
         # x = 0, y = 0: residuals and group magnitudes hit the floor, so the
         # surrogate reduces to the closed-form barrier sums
         n = 10
-        A = identity_operator(n)
-        L = identity_operator(n)
+        zero = np.zeros(n)
         gs = GroupStructure("scalar", n, 1)
         p = q = 1.0
         lam = 0.7
         eps = 1e-4
-        v, z = update_weights(np.zeros(n), A, L, gs, np.zeros(n), p, q, eps, eps)
-        f = irm_cost(np.zeros(n), v, z, A, L, gs, np.zeros(n), lam, p, q)
+        v, z = update_weights(zero, zero, gs, p, q, eps, eps)
+        f = irm_cost(zero, zero, v, z, gs, lam, p, q)
         a_p, b_p = half_quadratic_constants(p)
         floor_v = 0.5 * p * np.sqrt(eps) ** (p - 2.0)
         expected = (1.0 / p) * n / (b_p * floor_v ** a_p) * (1.0 + lam)
