@@ -20,7 +20,7 @@ from .harness import ExperimentSpec, run_experiment, saved_times
 from .linops import matrix_operator
 from .sketch import (build_preconditioner, effective_dimension, nystrom_approx,
                      nystrom_oracle_dense, recommended_sketch_size)
-from .solvers import half_quadratic_constants
+from .solvers import IrmConfig, WapgConfig, half_quadratic_constants
 
 CONDITION_NUMBER_BOUND = 28.0
 
@@ -47,7 +47,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--jobs", type=int, default=1, help="parallel run slots")
     sub.add_argument("--out", default=None, help="output root directory")
     sub.add_argument("--tol", type=float, default=None,
-                     help="inner solver tolerance (default: 1e-4 PCG, 1e-6 dual)")
+                     help=f"inner solver tolerance (default: {IrmConfig.inner_tol:g} PCG, "
+                          f"{WapgConfig.inner_tol:g} dual)")
     sub.add_argument("--max-iter", type=int, default=None, help="outer iterations")
     sub.add_argument("--sqrt-tail", choices=["on", "off"], default=None,
                      help="replace the sketch tail value by its square root")
@@ -159,7 +160,7 @@ def _run_task(command: str, args) -> int:
         lam_grid=lam_grid,
         seeds=args.seed,
         outer_max=(args.max_iter if args.max_iter is not None
-                   else 60 if command == "ct" else 20),
+                   else (WapgConfig if command == "ct" else IrmConfig).outer_max),
         inner_tol=args.tol,
         box_lo=0.0 if command == "ct" else -math.inf,
         box_hi=1.0 if command == "ct" else math.inf,

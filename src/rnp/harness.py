@@ -1,8 +1,8 @@
 """Experiment orchestration: parameter sweeps, trace CSVs, saved-time summary.
 
-Every run owns one CSV under ``out_dir/<experiment>/<run-id>.csv`` with the
-fixed schema ``iter,elapsed_s,cost,psnr,inner_iters,sketch_s``; a sweep also
-writes ``summary.csv``.  Re-running with the same seeds reproduces every
+Every run owns one CSV under ``out_dir/<experiment>/<run-id>.csv`` whose
+columns are the fields of ``solvers.TraceRecord``; a sweep also writes
+``summary.csv``.  Re-running with the same seeds reproduces every
 non-timing column exactly.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -21,7 +21,7 @@ from .core import Rng
 from .linops import apply_on_one_core
 from .problems import ProblemInstance, make_ct, make_deblur, make_sr
 from .prox import BoxConstraint
-from .solvers import (IrmConfig, SolverTrace, WapgConfig,
+from .solvers import (IrmConfig, SolverTrace, TraceRecord, WapgConfig,
                       build_wapg_preconditioner, irm_solve, wapg_solve)
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "TRACE_HEADER",
 ]
 
-TRACE_HEADER = ["iter", "elapsed_s", "cost", "psnr", "inner_iters", "sketch_s"]
+TRACE_HEADER = [f.name for f in fields(TraceRecord)]
 
 
 def saved_time(t_without: float, t_with: float) -> float:
@@ -65,7 +65,7 @@ class ExperimentSpec:
     q: float = 1.0
     phi: float = 1
     outer_max: int = 20
-    inner_tol: Optional[float] = None  # None: solver default (1e-4 PCG, 1e-6 dual)
+    inner_tol: Optional[float] = None  # None: the solver config's default
     inner_max: int = 200
     box_lo: float = -math.inf
     box_hi: float = math.inf
@@ -133,20 +133,19 @@ def _run_one(spec: ExperimentSpec, lam: float, K: int, seed: int,
         if isinstance(problem, Exception):
             raise problem
         rng = Rng(seed).spawn(1)  # solver stream; problem noise used stream 0
+        tol = {} if spec.inner_tol is None else {"inner_tol": spec.inner_tol}
         if spec.solver == "irm":
             cfg = IrmConfig(p=spec.p, q=spec.q, lam=lam, outer_max=spec.outer_max,
-                            inner_tol=spec.inner_tol if spec.inner_tol is not None else 1e-4,
                             inner_max=spec.inner_max, sketch_size=K,
-                            sqrt_tail=spec.sqrt_tail)
+                            sqrt_tail=spec.sqrt_tail, **tol)
             _, trace = irm_solve(problem, cfg, rng)
         else:
             cfg = WapgConfig(lam=lam, phi=spec.phi, sketch_size=K,
                              outer_max=spec.outer_max,
                              box=BoxConstraint(spec.box_lo, spec.box_hi),
                              prox_mode="separable" if spec.regularizer == "wavelet" else "dual",
-                             inner_tol=spec.inner_tol if spec.inner_tol is not None else 1e-6,
                              inner_max=spec.inner_max,
-                             sqrt_tail=spec.sqrt_tail)
+                             sqrt_tail=spec.sqrt_tail, **tol)
             pre, sketch_s = build_wapg_preconditioner(problem, cfg, rng.spawn(0))
             _, trace = wapg_solve(problem, cfg, pre, rng.spawn(1), sketch_seconds=sketch_s)
         # wall time is the trace's final elapsed_s (sketching included), so
@@ -230,8 +229,8 @@ def write_trace_csv(path, trace: SolverTrace) -> None:
         writer = csv.writer(f)
         writer.writerow(TRACE_HEADER)
         for r in trace.records:
-            writer.writerow([r.iter, _fmt(r.elapsed_s), _fmt(r.cost), _fmt(r.psnr),
-                             r.inner_iters, _fmt(r.sketch_s)])
+            values = (getattr(r, name) for name in TRACE_HEADER)
+            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in values])
 
 
 @dataclass(frozen=True)

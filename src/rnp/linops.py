@@ -514,8 +514,10 @@ def _row_blocked(mat: sparse.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     nonzeros, one per usable core while each keeps at least
     ``_MIN_BLOCK_NNZ``.  Every output row sums the same products in the same
     order as the whole product does, so the result is bit-identical.  The
-    slices are views of ``mat``'s arrays: ``mat[a:b]`` would copy them, at
-    about 15 ms per direction at n=128.  A block goes through scipy's
+    slices are built on slices of ``mat``'s arrays, since ``mat[a:b]`` would
+    copy them (about 15 ms per direction at n=128), but scipy's constructor
+    copies any slice under half its base array (``_prune_array``), such as
+    the second transpose slice at n=128, 60 views, 2 blocks.  A block goes through scipy's
     multi-vector product, whose columns equal the single-vector products
     bit for bit.
     """

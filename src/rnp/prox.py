@@ -347,8 +347,8 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
         f"weighted prox did not converge in {max_iter} iterations (residual {res_norm:.3e})")
 
 
-# tolerance of each box projection inside the dual ascent
-_WPM_TOL = 1e-11
+# tolerance of every P-metric prox: WAPG's soft thresholds and the dual ascent's box projections
+P_PROX_TOL = 1e-11
 
 
 def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
@@ -369,7 +369,7 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     pass Q back as ``q0`` to warm-start the next call.
 
     With a preconditioner each box projection is a :func:`wpm_structured`
-    call to tolerance 1e-11 that shares ``newton``, the
+    call to tolerance ``P_PROX_TOL`` that shares ``newton``, the
     :class:`NewtonState` of ``pre.Ubar`` with sign +1: it starts its Newton
     iteration from the previous projection's gamma and takes its Jacobians
     from the memo as rank updates of the previous one, each solved by
@@ -387,7 +387,7 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     def prox_p_box(v):
         if pre is None:
             return box.project(v)
-        return wpm_structured(BoxProx(box), v, pre.Ubar, 1, tol=_WPM_TOL,
+        return wpm_structured(BoxProx(box), v, pre.Ubar, 1, tol=P_PROX_TOL,
                               newton=newton)[0]
 
     if lam_bar == 0.0:

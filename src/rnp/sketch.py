@@ -14,9 +14,9 @@ proximal solvers, so they default to t = s_K.  P, P^-1 and P^-1/2 share
 the rank-structured form I + U diag(c) U' and apply in O(N K).
 
 The sketch follows the stabilized Nystrom method (Tropp, Yurtsever, Udell
-& Cevher, SIMAX 2017): shift, Cholesky of the K x K core, one triangular
-solve for the N x K factor B, then the spectrum of B from the K x K matrix
-B'B, so no N x K decomposition is needed.
+& Cevher, SIMAX 2017): one shift sized by the sketch, one Cholesky of the
+K x K core, one triangular solve for the N x K factor B, then the spectrum
+of B from the K x K matrix B'B, so no N x K decomposition is needed.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class NystromFactor:
 
     U: np.ndarray = field(repr=False)  # N x K, orthonormal where S_hat > 0, else zero
     S_hat: np.ndarray = field(repr=False)  # K nonneg eigenvalues, nonincreasing
-    shift: float  # stabilization shift actually used
 
 
 def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
@@ -68,11 +67,11 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     maps the whole block in one ``phi.apply`` call; by the operator
     contract each column equals the vector apply bit for bit, so the result
     is bit-identical for a fixed seed whether ``phi`` has a native block
-    product or loops over the columns.  The Gram matrix is
-    shifted by nu = MACHINE_EPS * ||Omega||_F before the Cholesky step; if that
-    factorization fails the shift escalates (x10, at most 5 attempts,
-    seeded from MACHINE_EPS * ||Y||_F / sqrt(N) as a fallback scale) before giving
-    up, which signals a non-PSD operator.
+    product or loops over the columns.  The sketch Y = Phi Omega is shifted
+    to Y_nu = Y + nu Omega, nu = sqrt(N) * MACHINE_EPS * ||Y||_F (Frangella,
+    Tropp & Udell, SIMAX 2023), and the core Omega'Y_nu is factored once; a
+    failed Cholesky raises ``LinAlgError``: the operator is not PSD.  A zero
+    sketch (Y = 0) returns the exact zero factor, U = 0 and S_hat = 0.
 
     With C the Cholesky factor, B = Y_nu C^-T is formed explicitly and its
     singular pairs come from eigh(B'B) = V Sigma^2 V' as U = B V Sigma^-1:
@@ -97,30 +96,25 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     # small products such as omega'Y sum in an order that follows the layouts
     omega = np.asfortranarray(omega)
     y = np.asfortranarray(phi.apply(omega))
-    nu = MACHINE_EPS * float(np.linalg.norm(omega))
-    for attempt in range(5):
-        y_nu = y + nu * omega
-        gram = omega.T @ y_nu
-        gram = 0.5 * (gram + gram.T)
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            if attempt == 0:
-                nu = max(10.0 * nu, MACHINE_EPS * float(np.linalg.norm(y)) / np.sqrt(n))
-            else:
-                nu *= 10.0
-            continue
-        b = solve_triangular(chol, y_nu.T, lower=True).T
-        sigma_sq, v = np.linalg.eigh(b.T @ b)
-        sigma_sq, v = sigma_sq[::-1], v[:, ::-1]
-        r = int(np.count_nonzero(sigma_sq > nu))
-        u = b @ v
-        u[:, :r] /= np.sqrt(sigma_sq[:r])
-        u[:, r:] = 0.0
-        s_hat = np.maximum(sigma_sq - nu, 0.0)
-        return NystromFactor(u, s_hat, nu)
-    raise np.linalg.LinAlgError(
-        "Cholesky failed after shift escalation; operator is not PSD")
+    nu = np.sqrt(n) * MACHINE_EPS * float(np.linalg.norm(y))
+    if nu == 0.0:  # Y = 0: Phi vanishes on the range of Omega
+        return NystromFactor(np.zeros((n, K)), np.zeros(K))
+    y_nu = y + nu * omega
+    gram = omega.T @ y_nu
+    gram = 0.5 * (gram + gram.T)
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            "Cholesky of the shifted sketch failed; operator is not PSD") from exc
+    b = solve_triangular(chol, y_nu.T, lower=True).T
+    sigma_sq, v = np.linalg.eigh(b.T @ b)
+    sigma_sq, v = sigma_sq[::-1], v[:, ::-1]
+    r = int(np.count_nonzero(sigma_sq > nu))
+    u = b @ v
+    u[:, :r] /= np.sqrt(sigma_sq[:r])
+    u[:, r:] = 0.0
+    return NystromFactor(u, np.maximum(sigma_sq - nu, 0.0))
 
 
 def nystrom_oracle_dense(phi: np.ndarray, omega: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ from .core import ImageGrid, Rng, psnr, standard_normal_matrix
 from .krylov import cg, pcg  # noqa: F401  (unused; bench/spans.py wraps rnp.solvers.cg)
 from .linops import (DiagonalWeight, GroupStructure, LinearOperator, compose,
                      gram_operator, operator_norm_sq, spare_pool, transpose)
-from .prox import (BoxConstraint, NewtonState, SoftThresholdProx, weighted_op_norm_sq,
-                   mixed_norm_value, wpm_mixed_dual, wpm_structured)
+from .prox import (P_PROX_TOL, BoxConstraint, NewtonState, SoftThresholdProx,
+                   weighted_op_norm_sq, mixed_norm_value, wpm_mixed_dual, wpm_structured)
 from .sketch import Preconditioner, build_preconditioner, default_mu, nystrom_approx
 
 __all__ = [
@@ -218,12 +218,13 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
     the solve returns it unchanged whatever the preconditioner, so that
     iteration records ``sketch_s = 0``.
 
-    The test matrix does not depend on the data, so when a second core is
-    usable (``linops.spare_pool``) each sketch of iteration k has the pool
-    draw iteration k+1's matrix meanwhile; iteration k+1 uses it if it
-    sketches.  The draw is the one ``rng.spawn(k+1)`` would give, so the
-    trace is the same with one core or two.  At most one draw is in flight,
-    and none is left running on return.
+    The j-th sketch of a solve draws its test matrix from ``rng.spawn(j)``;
+    when a second core is usable (``linops.spare_pool``) the pool draws
+    sketch j+1's matrix while sketch j is built, so the trace is the same
+    with one core or two.  At most one draw is in flight, and none is left
+    running on return.  An iteration that skips its sketch returns its warm
+    start and so ends the loop, making sketch j that of iteration j, except
+    after a skipped warm-up iteration 1, which does not stop the loop.
 
     The residual A x - y and L x of each new iterate serve both its trace
     cost and the next iteration's reweighting, so each is computed once.
@@ -242,7 +243,8 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
         x = np.asarray(x0, dtype=np.float64).copy()
     n, K = A.domain_dim, min(cfg.sketch_size, A.domain_dim)
     pool = spare_pool() if K > 0 else None
-    ahead: Optional[tuple[int, Future]] = None  # (iteration, its test matrix being drawn)
+    ahead: Optional[Future] = None  # the next sketch's test matrix, being drawn
+    sketches = 0
     trace = SolverTrace()
     start = time.perf_counter()
     if not warmup:
@@ -261,19 +263,14 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
             sketch_s = 0.0
 
             def sketch_pinv():
-                nonlocal sketch_s, ahead
+                nonlocal sketch_s, ahead, sketches
                 t0 = time.perf_counter()
-                omega = None
-                if ahead is not None:
-                    if ahead[0] == k:
-                        omega = ahead[1].result()
-                    else:
-                        _settle(ahead[1])
-                    ahead = None
-                factor = nystrom_approx(phi, K, rng.spawn(k), omega=omega)
+                sketches += 1
+                omega, ahead = (ahead.result() if ahead is not None else None), None
+                factor = nystrom_approx(phi, K, rng.spawn(sketches), omega=omega)
                 if pool is not None and k < cfg.outer_max:
                     # core's draw, which never submits to the pool it runs on
-                    ahead = (k + 1, pool.submit(standard_normal_matrix, n, K, rng.spawn(k + 1)))
+                    ahead = pool.submit(standard_normal_matrix, n, K, rng.spawn(sketches + 1))
                 sketch_s = time.perf_counter() - t0
                 return build_preconditioner(factor, default_mu(factor), cfg.sqrt_tail).apply_Pinv
 
@@ -293,7 +290,7 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
                 break
     finally:
         if ahead is not None:
-            _settle(ahead[1])
+            _settle(ahead)
     return x, trace
 
 
@@ -403,7 +400,7 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
         grad = fwd.adjoint(fu - y)
         s = u - alpha * (pre.apply_Pinv(grad) if pre is not None else grad)
         if separable:
-            x_next, _ = wpm_structured(SoftThresholdProx(tau), s, ubar, 1, tol=1e-11,
+            x_next, _ = wpm_structured(SoftThresholdProx(tau), s, ubar, 1, tol=P_PROX_TOL,
                                        newton=newton)
             inner = 0
         else:

@@ -1,8 +1,11 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and every exported name has a caller outside the tests."""
+and every exported name and every dataclass field has a reader outside the
+tests."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -15,6 +18,9 @@ REPO = Path(rnp.__file__).resolve().parents[2]
 
 # Exported for the tests alone: a fixture and the references tests compare against.
 TEST_ORACLES = {"identity_operator", "to_dense", "compare_inner_iterations", "original_cost"}
+# Dataclass fields read by the tests alone: a Krylov diagnostic to be surfaced
+# in traces, and the result of an acceptance oracle.
+TEST_ONLY_FIELDS = {"KrylovReport.final_relres", "InnerIterationComparison.median_reduction"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -61,3 +67,16 @@ def test_every_export_has_a_caller_outside_the_tests():
     test_only = exported - _referenced_names()
     assert sorted(test_only - TEST_ORACLES) == []
     assert sorted(TEST_ORACLES - test_only) == []  # no stale entries in the list
+
+
+def test_every_dataclass_field_has_a_reader_outside_the_tests():
+    classes = {cls for name in MODULES
+               for _, cls in inspect.getmembers(importlib.import_module(f"rnp.{name}"),
+                                                inspect.isclass)
+               if dataclasses.is_dataclass(cls) and cls.__module__.startswith("rnp.")}
+    assert classes
+    read = _referenced_names()
+    test_only = {f"{cls.__name__}.{f.name}" for cls in classes
+                 for f in dataclasses.fields(cls) if f.name not in read}
+    assert sorted(test_only - TEST_ONLY_FIELDS) == []
+    assert sorted(TEST_ONLY_FIELDS - test_only) == []  # no stale entries in the list

@@ -368,7 +368,7 @@ class TestWpmMixedDual:
         lam = 0.2
         inner_tol = 1e-8
         factor_u, _ = np.linalg.qr(standard_normal_matrix(n * n, 4, rng))
-        factor = NystromFactor(factor_u, np.array([5.0, 3.0, 2.0, 1.0]), 0.0)
+        factor = NystromFactor(factor_u, np.array([5.0, 3.0, 2.0, 1.0]))
         pre = build_preconditioner(factor, mu=0.5, sqrt_tail=False)
         x, q, _ = wpm_mixed_dual(s, lam, op, gs, 1, pre, box,
                                  inner_tol=inner_tol, inner_max=50000)
@@ -415,7 +415,7 @@ class TestDualProxWithPreconditioner:
         rng = Rng(21)
         s = rng.normal(n * n) * 0.4 + 0.5
         u_cols, _ = np.linalg.qr(standard_normal_matrix(n * n, 3, rng))
-        factor = NystromFactor(u_cols, np.array([4.0, 2.0, 1.0]), 0.0)
+        factor = NystromFactor(u_cols, np.array([4.0, 2.0, 1.0]))
         pre = build_preconditioner(factor, mu=0.3, sqrt_tail=False)
         lam = 0.1
         inner_tol = 1e-8

@@ -6,7 +6,7 @@ from rnp.core import Rng, standard_normal_matrix
 from rnp.linops import (DiagonalWeight, LinearOperator, columnwise, compose,
                         gram_operator, matrix_operator, radon_operator, transpose)
 from rnp.problems import make_ct, make_deblur
-from rnp.sketch import (NystromFactor, build_preconditioner,
+from rnp.sketch import (NystromFactor, build_preconditioner, default_mu,
                         effective_dimension, nystrom_approx,
                         nystrom_oracle_dense, recommended_sketch_size)
 
@@ -115,7 +115,6 @@ class TestNystromApprox:
         looped = nystrom_approx(LinearOperator(n, n, loop, loop), 20, Rng(51))
         assert np.array_equal(block.U, looped.U)
         assert np.array_equal(block.S_hat, looped.S_hat)
-        assert block.shift == looped.shift
 
     def test_rebuilt_radon_sketches_in_one_product_per_direction(self):
         # an operator rebuilt from a radon operator's apply and adjoint, as a
@@ -157,7 +156,6 @@ class TestNystromApprox:
         for f in (b, given):
             assert np.array_equal(f.U, a.U)
             assert np.array_equal(f.S_hat, a.S_hat)
-            assert f.shift == a.shift
 
     def test_predrawn_test_matrix_gives_the_same_factor(self):
         prob = make_deblur("gauss9", 32, 0.05, Rng(60))
@@ -170,15 +168,51 @@ class TestNystromApprox:
                                omega=standard_normal_matrix(32 * 32, 20, Rng(62)))
         assert np.array_equal(given.U, drawn.U)
         assert np.array_equal(given.S_hat, drawn.S_hat)
-        assert given.shift == drawn.shift
         assert given_rng.counter == 0
         with pytest.raises(ValueError):
             nystrom_approx(phi, 20, Rng(62), omega=standard_normal_matrix(32 * 32, 19, Rng(62)))
 
-    def test_non_psd_raises_after_escalation(self):
+    def test_non_psd_raises(self):
         bad = matrix_operator(np.diag([1.0, -5.0, 2.0]))
         with pytest.raises(np.linalg.LinAlgError):
             nystrom_approx(bad, 3, Rng(15))
+
+    @pytest.mark.parametrize("orthonormal", [False, True])
+    def test_rank_deficient_large_operator_factors_once(self, monkeypatch, orthonormal):
+        # a rank-5 operator at scale 1e6: the shift grows with the sketch, so
+        # the one Cholesky succeeds, with a Gaussian test matrix or with the
+        # orthonormal one a subspace-iteration step would pass in
+        eigs = np.zeros(200)
+        eigs[:5] = 1e6 * np.linspace(3.0, 1.0, 5)
+        phi = random_psd(200, eigs, seed=30)
+        omega = standard_normal_matrix(200, 20, Rng(31))
+        if orthonormal:
+            omega = np.linalg.qr(omega)[0]
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(1)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        factor = nystrom_approx(matrix_operator(phi), 20, Rng(31), omega=omega)
+        assert len(calls) == 1
+        err = np.linalg.norm(low_rank_reconstruction(factor) - phi) / np.linalg.norm(phi)
+        assert err <= 1e-6
+
+    def test_zero_operator_gives_the_zero_factor(self):
+        factor = nystrom_approx(matrix_operator(np.zeros((20, 20))), 5, Rng(32))
+        assert np.array_equal(factor.S_hat, np.zeros(5))
+        assert np.array_equal(factor.U, np.zeros((20, 5)))
+        assert default_mu(factor) == 1e-12
+
+    def test_eigenvalues_scale_with_the_operator(self):
+        phi = random_psd(40, np.exp(np.linspace(0.0, -3.0, 40)), seed=33)
+        ref = nystrom_approx(matrix_operator(phi), 15, Rng(34)).S_hat
+        for c in (1e-6, 1.0, 1e6):
+            s_hat = nystrom_approx(matrix_operator(c * phi), 15, Rng(34)).S_hat
+            assert np.abs(s_hat - c * ref).max() <= 1e-12 * c * ref[0]
 
     def test_rejects_bad_sketch_size(self):
         phi = matrix_operator(np.eye(4))
@@ -254,11 +288,11 @@ class TestPreconditioner:
         assert eigs[-1] / eigs[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_sqrt_tail_drops_shrunk_columns(self):
-        factor = NystromFactor(np.eye(4)[:, :2], np.array([9.0, 4.0]), 0.0)
+        factor = NystromFactor(np.eye(4)[:, :2], np.array([9.0, 4.0]))
         pre = build_preconditioner(factor, mu=1.0, sqrt_tail=True)
         # tail = 2: d = (S+1)/3 = [10/3, 5/3]; both radicands positive here
         assert pre.Ubar.shape[1] == 2
-        factor2 = NystromFactor(np.eye(4)[:, :2], np.array([9.0, 0.25]), 0.0)
+        factor2 = NystromFactor(np.eye(4)[:, :2], np.array([9.0, 0.25]))
         pre2 = build_preconditioner(factor2, mu=1.0, sqrt_tail=True)
         # tail = 0.5: d = [10/1.5, 1.25/1.5]; second radicand negative, dropped
         assert pre2.Ubar.shape[1] == 1
