@@ -34,24 +34,31 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--n", type=int, default=64, help="image side length")
-    sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="single regularization weight")
-    sub.add_argument("--lambda-grid", type=_parse_floats, default=None,
-                     help="comma-separated weights to sweep")
+    sub.add_argument("--config", help="flat key=value config file (default: none)")
+    sub.add_argument("--n", type=int, default=64, help="image side length (default: %(default)s)")
+    lam = sub.add_mutually_exclusive_group()
+    lam.add_argument("--lambda", dest="lam", type=float, default=None,
+                     help="single regularization weight (default: 0.05 for deblur, "
+                          "0.1 for sr; for ct 0.02 with --reg wavelet, else 0.05)")
+    lam.add_argument("--lambda-grid", type=_parse_floats, default=None,
+                     help="comma-separated weights to sweep (default: the --lambda value)")
     sub.add_argument("--K", type=_parse_ints, default=None,
-                     help="comma-separated sketch sizes (0 = no preconditioner)")
+                     help="comma-separated sketch sizes, 0 = no preconditioner "
+                          "(default: 0,100; for ct 0,20, or 0,100 with --reg hs)")
     sub.add_argument("--seed", type=_parse_ints, default=(0,),
-                     help="comma-separated seeds")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel run slots")
-    sub.add_argument("--out", default=None, help="output root directory")
+                     help="comma-separated seeds (default: 0)")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="parallel run slots (default: %(default)s)")
+    sub.add_argument("--out", default=None,
+                     help="output root directory (default: $RNP_OUT_DIR, else ./out)")
     sub.add_argument("--tol", type=float, default=None,
                      help=f"inner solver tolerance (default: {IrmConfig.inner_tol:g} PCG, "
                           f"{WapgConfig.inner_tol:g} dual)")
-    sub.add_argument("--max-iter", type=int, default=None, help="outer iterations")
+    sub.add_argument("--max-iter", type=int, default=None,
+                     help=f"outer iterations (default: {IrmConfig.outer_max} for deblur "
+                          f"and sr, {WapgConfig.outer_max} for ct)")
     sub.add_argument("--sqrt-tail", choices=["on", "off"], default=None,
-                     help="replace the sketch tail value by its square root")
+                     help="replace the sketch tail value by its square root (default: off)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,36 +66,40 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rnp",
         description="Sketch-preconditioned variational image reconstruction")
     subs = parser.add_subparsers(dest="command", required=True)
+    d = " (default: %(default)s)"
 
-    deblur = subs.add_parser("deblur", help="blur + salt-and-pepper restoration",
-                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    deblur = subs.add_parser("deblur", help="blur + salt-and-pepper restoration")
     _add_common(deblur)
-    deblur.add_argument("--kernel", choices=["uniform9", "gauss9"], default="gauss9")
-    deblur.add_argument("--p", type=float, default=1.0)
-    deblur.add_argument("--q", type=float, default=1.0)
-    deblur.add_argument("--noise-frac", type=float, default=0.05)
+    deblur.add_argument("--kernel", choices=["uniform9", "gauss9"], default="gauss9",
+                        help="blur kernel" + d)
+    deblur.add_argument("--p", type=float, default=1.0, help="data-fit exponent" + d)
+    deblur.add_argument("--q", type=float, default=1.0, help="regularizer exponent" + d)
+    deblur.add_argument("--noise-frac", type=float, default=0.05,
+                        help="fraction of salt-and-pepper pixels" + d)
 
-    sr = subs.add_parser("sr", help="super-resolution restoration",
-                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    sr = subs.add_parser("sr", help="super-resolution restoration")
     _add_common(sr)
-    sr.add_argument("--factor", type=int, default=2)
-    sr.add_argument("--p", type=float, default=1.0)
-    sr.add_argument("--q", type=float, default=1.0)
-    sr.add_argument("--noise-frac", type=float, default=0.05)
+    sr.add_argument("--factor", type=int, default=2, help="downsampling factor" + d)
+    sr.add_argument("--p", type=float, default=1.0, help="data-fit exponent" + d)
+    sr.add_argument("--q", type=float, default=1.0, help="regularizer exponent" + d)
+    sr.add_argument("--noise-frac", type=float, default=0.05,
+                    help="fraction of salt-and-pepper pixels" + d)
 
-    ct = subs.add_parser("ct", help="parallel-beam tomography reconstruction",
-                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    ct = subs.add_parser("ct", help="parallel-beam tomography reconstruction")
     _add_common(ct)
     ct.add_argument("--reg", dest="regularizer", choices=["wavelet", "tv", "hs"],
-                    default="tv")
-    ct.add_argument("--views", type=int, default=60)
-    ct.add_argument("--phi", type=float, default=1.0)
-    ct.add_argument("--noise-sigma", type=float, default=0.01)
+                    default="tv", help="regularizer" + d)
+    ct.add_argument("--views", type=int, default=60, help="projection angles" + d)
+    ct.add_argument("--phi", type=float, default=1.0,
+                    help="per-group norm of the regularizer: 1, 2 or inf" + d)
+    ct.add_argument("--noise-sigma", type=float, default=0.01,
+                    help="Gaussian sinogram noise level, relative to the sinogram peak" + d)
 
-    diag = subs.add_parser("diag", help="dense-oracle diagnostic suite",
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    diag.add_argument("--seed", type=int, default=0)
-    diag.add_argument("--identity-grid", choices=["coarse", "fine"], default="coarse")
+    diag = subs.add_parser("diag", help="dense-oracle diagnostic suite")
+    diag.add_argument("--seed", type=int, default=0, help="seed" + d)
+    diag.add_argument("--identity-grid", choices=["coarse", "fine"], default="coarse",
+                      help="radii checked by the half-quadratic identity: "
+                           "50 (coarse) or 200 (fine)" + d)
     return parser
 
 

@@ -8,9 +8,7 @@ solvers.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -44,10 +42,9 @@ class Rng:
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.stream = int(stream) & 0xFFFFFFFFFFFFFFFF
         self._bits = np.random.Philox(key=np.array([self.seed, self.stream], dtype=np.uint64))
-        self.counter = 0
 
     def __repr__(self) -> str:
-        return f"Rng(seed={self.seed}, stream={self.stream}, counter={self.counter})"
+        return f"Rng(seed={self.seed}, stream={self.stream})"
 
     def spawn(self, index: int) -> "Rng":
         """Deterministic independent child stream; same (seed, stream, index)
@@ -56,7 +53,6 @@ class Rng:
         return Rng(self.seed, child)
 
     def raw(self, n: int) -> np.ndarray:
-        self.counter += int(n)
         return self._bits.random_raw(n)
 
     def uniform(self, n: int) -> np.ndarray:
@@ -102,36 +98,19 @@ def _uniforms(bits: np.ndarray) -> np.ndarray:
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
-def _normals_into(bits: np.ndarray, out: np.ndarray) -> None:
-    ndtri(_uniforms(bits), out=out)
-
-
-def standard_normal_matrix(n: int, k: int, rng: Rng,
-                           pool: Optional[Executor] = None) -> np.ndarray:
+def standard_normal_matrix(n: int, k: int, rng: Rng) -> np.ndarray:
     """n-by-k matrix of i.i.d. standard normals filled column by column.
 
     One draw of n*k samples fills the columns in order, so the result and
     the stream position equal k successive ``rng.normal(n)`` columns.  The
     draw is returned in its natural layout, the transpose of a C-ordered
-    k x n array: Fortran order, each column contiguous, with no copy.
-
-    With ``pool`` (an executor with a free worker) the calling thread takes
-    the raw bits and converts the first half of them to normals while the
-    pool converts the second half; every element is computed as without it.
-    A task running on ``pool`` must not pass ``pool``: it would wait on
-    the executor it occupies.
+    k x n array: Fortran order, each column contiguous, with no copy.  It
+    runs on the calling thread; a caller that wants it off the critical
+    path submits the whole call to an executor.
     """
     if n < 1 or k < 1:
         raise ValueError("matrix dimensions must be >= 1")
-    if pool is None:
-        return rng.normal(n * k).reshape(k, n).T
-    bits = rng.raw(n * k)
-    out = np.empty(n * k)
-    half = out.size // 2
-    rest = pool.submit(_normals_into, bits[half:], out[half:])
-    _normals_into(bits[:half], out[:half])
-    rest.result()
-    return out.reshape(k, n).T
+    return rng.normal(n * k).reshape(k, n).T
 
 
 def psnr(x: ImageGrid, ref: ImageGrid, peak: float = 1.0) -> float:

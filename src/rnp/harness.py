@@ -85,6 +85,8 @@ class ExperimentSpec:
             raise ValueError("sketch sizes must be nonnegative")
         if self.outer_max < 1:
             raise ValueError(f"outer_max must be >= 1, got {self.outer_max}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ Operators are immutable after construction and safe for concurrent use:
 any number of threads may apply one operator at the same time.  Large
 radon operators split each product across the usable cores, running one
 row block on the calling thread and the others on a thread pool shared by
-the whole process.  The same pool (``spare_pool``) also converts half of a
-sketch's Gaussian draw and draws the next IRM test matrix ahead of time.
+the whole process.  The same pool (``spare_pool``) also draws the next IRM
+test matrix ahead of time.
 The pool is created on first use and recreated in a child after ``fork``,
 whose copy of the pool has no threads.  No task running on the pool may
 submit to it and wait for the result: with one worker, that task would

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .core import Rng, standard_normal_matrix
-from .linops import LinearOperator, columnwise, spare_pool
+from .linops import LinearOperator, columnwise
 
 __all__ = [
     "NystromFactor",
@@ -59,9 +59,8 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     """Randomized low-rank factorization of a symmetric PSD operator.
 
     Draws the Gaussian test matrix ``standard_normal_matrix(N, K, rng)`` up
-    front, converting half of it on the spare core when there is one
-    (``linops.spare_pool``).  A caller that drew it ahead of time passes it
-    as ``omega``, which must equal that draw; ``rng`` is then left as it is.
+    front on the calling thread.  A caller that drew it ahead of time passes
+    it as ``omega``, which must equal that draw; ``rng`` is then left as it is.
     The matrix and its image are kept in Fortran order, so each column is
     contiguous for an operator that maps a block column by column.  ``phi``
     maps the whole block in one ``phi.apply`` call; by the operator
@@ -89,7 +88,7 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     if not 1 <= K <= n:
         raise ValueError(f"sketch size {K} out of range [1, {n}]")
     if omega is None:
-        omega = standard_normal_matrix(n, K, rng, spare_pool())
+        omega = standard_normal_matrix(n, K, rng)
     elif omega.shape != (n, K):
         raise ValueError(f"test matrix is {omega.shape}, expected {(n, K)}")
     # both in Fortran order, whatever layout a caller or phi's block product uses:

@@ -81,9 +81,13 @@ def default_eps_smooth(exponent: float) -> float:
     return float(WEIGHT_CAP ** (2.0 / (exponent - 2.0)))
 
 
-def _check_budget(outer_max: int, sketch_size: int) -> None:
+def _check_budget(outer_max: int, inner_max: int, inner_tol: float, sketch_size: int) -> None:
     if outer_max < 1:
         raise ValueError(f"outer_max must be >= 1, got {outer_max}")
+    if inner_max < 1:
+        raise ValueError(f"inner_max must be >= 1, got {inner_max}")
+    if inner_tol <= 0:
+        raise ValueError(f"inner_tol must be positive, got {inner_tol}")
     if sketch_size < 0:
         raise ValueError(f"sketch_size must be >= 0, got {sketch_size}")
 
@@ -105,7 +109,7 @@ class IrmConfig:
             raise ValueError("p and q must lie in (0, 2]")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        _check_budget(self.outer_max, self.sketch_size)
+        _check_budget(self.outer_max, self.inner_max, self.inner_tol, self.sketch_size)
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ class WapgConfig:
             raise ValueError("prox_mode must be 'dual' or 'separable'")
         if self.alpha is not None and self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        _check_budget(self.outer_max, self.sketch_size)
+        _check_budget(self.outer_max, self.inner_max, self.inner_tol, self.sketch_size)
 
 
 def half_quadratic_constants(p: float) -> tuple[float, float]:
@@ -218,13 +222,16 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
     the solve returns it unchanged whatever the preconditioner, so that
     iteration records ``sketch_s = 0``.
 
-    The j-th sketch of a solve draws its test matrix from ``rng.spawn(j)``;
-    when a second core is usable (``linops.spare_pool``) the pool draws
-    sketch j+1's matrix while sketch j is built, so the trace is the same
-    with one core or two.  At most one draw is in flight, and none is left
-    running on return.  An iteration that skips its sketch returns its warm
-    start and so ends the loop, making sketch j that of iteration j, except
-    after a skipped warm-up iteration 1, which does not stop the loop.
+    The j-th sketch of a solve draws its test matrix from ``rng.spawn(j)``.
+    When a second core is usable (``linops.spare_pool``), sketch j queues
+    sketch j+1's draw on the pool as soon as it has its own matrix, before
+    it applies the operator to it and factors it; sketch 1's matrix is drawn
+    inline meanwhile.  Each draw equals the one made on the spot, so the
+    trace is the same with one core or two.  At most one draw is in flight,
+    and none is left running on return.  An iteration that skips its sketch
+    returns its warm start and so ends the loop, making sketch j that of
+    iteration j, except after a skipped warm-up iteration 1, which does not
+    stop the loop.
 
     The residual A x - y and L x of each new iterate serve both its trace
     cost and the next iteration's reweighting, so each is computed once.
@@ -267,10 +274,10 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
                 t0 = time.perf_counter()
                 sketches += 1
                 omega, ahead = (ahead.result() if ahead is not None else None), None
-                factor = nystrom_approx(phi, K, rng.spawn(sketches), omega=omega)
                 if pool is not None and k < cfg.outer_max:
-                    # core's draw, which never submits to the pool it runs on
+                    # the draw never submits to the pool it runs on
                     ahead = pool.submit(standard_normal_matrix, n, K, rng.spawn(sketches + 1))
+                factor = nystrom_approx(phi, K, rng.spawn(sketches), omega=omega)
                 sketch_s = time.perf_counter() - t0
                 return build_preconditioner(factor, default_mu(factor), cfg.sqrt_tail).apply_Pinv
 

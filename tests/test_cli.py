@@ -28,6 +28,28 @@ class TestArgumentHandling:
                      "--sqrt-tail"):
             assert flag in out
 
+    @pytest.mark.parametrize("command", ["deblur", "sr", "ct", "diag"])
+    def test_help_states_every_default(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert "(default: None)" not in out
+        lines = out.split("options:", 1)[1].splitlines()[1:]
+        for i, line in enumerate(lines):
+            if line.startswith("  -"):
+                # help text follows on the same line or on an indented next line
+                same_line = len(line.strip().split("  ", 1)) == 2
+                next_line = i + 1 < len(lines) and lines[i + 1].startswith(" " * 20)
+                assert same_line or next_line, f"no help for {line.strip()}"
+
+    def test_lambda_and_lambda_grid_are_exclusive(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["deblur", "--lambda", "0.5", "--lambda-grid", "0.01,0.02",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
     def test_bad_args_exit_code_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["deblur", "--kernel", "motion"])
@@ -48,6 +70,7 @@ class TestArgumentHandling:
         (["--max-iter", "0"], "outer_max"),
         (["--max-iter", "-1"], "outer_max"),
         (["--K", "-5"], "sketch sizes"),
+        (["--jobs", "0"], "jobs"),
     ])
     def test_out_of_range_budget_exits_one_before_any_run(self, tmp_path, capsys,
                                                           flags, message):

@@ -168,7 +168,7 @@ class TestNystromApprox:
                                omega=standard_normal_matrix(32 * 32, 20, Rng(62)))
         assert np.array_equal(given.U, drawn.U)
         assert np.array_equal(given.S_hat, drawn.S_hat)
-        assert given_rng.counter == 0
+        assert np.array_equal(given_rng.raw(4), Rng(62).raw(4))  # not drawn from
         with pytest.raises(ValueError):
             nystrom_approx(phi, 20, Rng(62), omega=standard_normal_matrix(32 * 32, 19, Rng(62)))
 

@@ -276,24 +276,27 @@ class TestIrmSolve:
             monkeypatch.setattr(linops, "_usable_cores", lambda: cores)
             pool = DeferredPool()
             monkeypatch.setattr(linops, "_shared_pool", lambda: pool)
-            given = []
+            given, queued = [], []
 
             def recording(*args, omega=None, **kwargs):
                 given.append(omega is not None)
+                queued.append(len(pool.draws))
                 return nystrom_approx(*args, omega=omega, **kwargs)
 
             monkeypatch.setattr(solvers, "nystrom_approx", recording)
             x, trace = irm_solve(prob, cfg, Rng(3))
-            runs.append((x, trace, pool, given))
-        (x1, t1, pool1, given1), (x2, t2, pool2, given2) = runs
+            runs.append((x, trace, pool, given, queued))
+        (x1, t1, pool1, given1, _), (x2, t2, pool2, given2, queued2) = runs
         assert np.array_equal(x1, x2)
         for attr in ("costs", "psnrs", "inner_iters"):
             assert np.array_equal(getattr(t1, attr), getattr(t2, attr))
         assert pool1.submits == 0 and not any(given1)
-        assert pool2.submits > len(pool2.draws)  # the first draw was split
+        assert pool2.submits == len(pool2.draws)  # the pool runs draws only
         # every sketch after the first uses the draw made during the one before
         assert given2[0] is False and all(given2[1:]) and len(given2) >= 2
         assert len(pool2.draws) == len(given2)
+        # sketch j+1's draw is queued before sketch j is built
+        assert queued2 == list(range(1, len(given2) + 1))
 
     def test_no_draw_left_in_flight(self, monkeypatch):
         import rnp.solvers as solvers
@@ -394,9 +397,11 @@ class TestIrmSolve:
         lambda **kw: WapgConfig(lam=1.0, **kw),
     ])
     @pytest.mark.parametrize("budget", [{"outer_max": 0}, {"outer_max": -1},
-                                        {"sketch_size": -5}])
+                                        {"sketch_size": -5}, {"inner_max": 0},
+                                        {"inner_max": -1}, {"inner_tol": 0.0},
+                                        {"inner_tol": -1e-6}])
     def test_configs_reject_out_of_range_budgets(self, make, budget):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(budget))):
             make(**budget)
 
     def test_overflowing_rhs_raises_value_error(self):
