@@ -57,8 +57,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-iter", type=int, default=None,
                      help=f"outer iterations (default: {IrmConfig.outer_max} for deblur "
                           f"and sr, {WapgConfig.outer_max} for ct)")
-    sub.add_argument("--sqrt-tail", choices=["on", "off"], default=None,
-                     help="replace the sketch tail value by its square root (default: off)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,7 +173,6 @@ def _run_task(command: str, args) -> int:
         inner_tol=args.tol,
         box_lo=0.0 if command == "ct" else -math.inf,
         box_hi=1.0 if command == "ct" else math.inf,
-        sqrt_tail=args.sqrt_tail == "on",
         jobs=args.jobs,
         **{k: v for k, v in vars(args).items() if k in _TASK_FLAGS},
     )
@@ -220,7 +217,7 @@ def _run_diag(args) -> int:
     kappas = []
     for trial in range(20):
         factor = nystrom_approx(matrix_operator(phi), min(k, n), Rng(args.seed).spawn(trial))
-        pre = build_preconditioner(factor, mu, sqrt_tail=False)
+        pre = build_preconditioner(factor, mu)
         half = np.column_stack([pre.apply_Pinvhalf(col) for col in np.eye(n)])
         mat = half @ (phi + mu * np.eye(n)) @ half
         eig = np.linalg.eigvalsh(0.5 * (mat + mat.T))

@@ -69,7 +69,6 @@ class ExperimentSpec:
     inner_max: int = 200
     box_lo: float = -math.inf
     box_hi: float = math.inf
-    sqrt_tail: bool = False
     jobs: int = 1
 
     def __post_init__(self):
@@ -138,16 +137,14 @@ def _run_one(spec: ExperimentSpec, lam: float, K: int, seed: int,
         tol = {} if spec.inner_tol is None else {"inner_tol": spec.inner_tol}
         if spec.solver == "irm":
             cfg = IrmConfig(p=spec.p, q=spec.q, lam=lam, outer_max=spec.outer_max,
-                            inner_max=spec.inner_max, sketch_size=K,
-                            sqrt_tail=spec.sqrt_tail, **tol)
+                            inner_max=spec.inner_max, sketch_size=K, **tol)
             _, trace = irm_solve(problem, cfg, rng)
         else:
             cfg = WapgConfig(lam=lam, phi=spec.phi, sketch_size=K,
                              outer_max=spec.outer_max,
                              box=BoxConstraint(spec.box_lo, spec.box_hi),
                              prox_mode="separable" if spec.regularizer == "wavelet" else "dual",
-                             inner_max=spec.inner_max,
-                             sqrt_tail=spec.sqrt_tail, **tol)
+                             inner_max=spec.inner_max, **tol)
             pre, sketch_s = build_wapg_preconditioner(problem, cfg, rng.spawn(0))
             _, trace = wapg_solve(problem, cfg, pre, rng.spawn(1), sketch_seconds=sketch_s)
         # wall time is the trace's final elapsed_s (sketching included), so

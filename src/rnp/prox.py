@@ -217,10 +217,9 @@ def weighted_op_norm_sq(op: LinearOperator, structure: GroupStructure,
 # ---------------------------------------------------------------------------
 
 
-def _newton_jacobian(ubar: np.ndarray, gram: np.ndarray, on: np.ndarray,
-                     sign: int) -> np.ndarray:
-    """I + sign * Ubar' diag(on) Ubar for a boolean slope ``on``, from the
-    smaller row set (``gram`` is Ubar'Ubar).
+def _newton_jacobian(ubar: np.ndarray, gram: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """I + Ubar' diag(on) Ubar for a boolean slope ``on``, from the smaller
+    row set (``gram`` is Ubar'Ubar).
 
     Both sides occur: a box prox over an image keeps roughly half its
     pixels inside the box, while a soft threshold with a small weight often
@@ -232,18 +231,18 @@ def _newton_jacobian(ubar: np.ndarray, gram: np.ndarray, on: np.ndarray,
     else:
         rows = ubar[~on]
         weighted = gram - rows.T @ rows
-    return np.eye(ubar.shape[1]) + sign * weighted
+    return np.eye(ubar.shape[1]) + weighted
 
 
 class NewtonState:
-    """Newton state of the proximal maps in the metric I + sign * Ubar Ubar'.
+    """Newton state of the proximal maps in the metric I + Ubar Ubar'.
 
-    A state belongs to one (Ubar, sign) and holds ``gram`` = Ubar'Ubar
+    A state belongs to one Ubar and holds ``gram`` = Ubar'Ubar
     (pass ``Preconditioner.gram`` or let it be computed once), ``gamma``,
     the root of the last map, from which the next :func:`wpm_structured`
     call starts, and a Jacobian memo: the last slope and its Jacobian.
     When at most 1/8 of the rows change slope, the next Jacobian is the
-    last one plus sign * Ubar_c' diag(+-1) Ubar_c over the changed rows c
+    last one plus Ubar_c' diag(+-1) Ubar_c over the changed rows c
     (+1 where a row turns on), a product over a few rows instead of up to
     half of Ubar; otherwise :func:`_newton_jacobian` rebuilds it.
 
@@ -252,18 +251,15 @@ class NewtonState:
     one each.
     """
 
-    def __init__(self, ubar: np.ndarray, sign: int = 1, gram: np.ndarray | None = None):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+    def __init__(self, ubar: np.ndarray, gram: np.ndarray | None = None):
         self.ubar = np.asarray(ubar, dtype=np.float64)
-        self.sign = sign
         self.gram = self.ubar.T @ self.ubar if gram is None else gram
         self.gamma = np.zeros(self.ubar.shape[1])
         self._slope: np.ndarray | None = None
         self._jac: np.ndarray | None = None
 
     def jacobian(self, slope: np.ndarray) -> np.ndarray:
-        """I + sign * Ubar' diag(slope) Ubar, as a rank update of the memo when
+        """I + Ubar' diag(slope) Ubar, as a rank update of the memo when
         few slopes changed, else from :func:`_newton_jacobian`."""
         if self._slope is not None:
             changed = np.flatnonzero(slope != self._slope)
@@ -271,44 +267,42 @@ class NewtonState:
                 if changed.size:
                     rows = self.ubar[changed]
                     flips = np.where(slope[changed], 1.0, -1.0)
-                    self._jac = self._jac + self.sign * (rows.T @ (flips[:, None] * rows))
+                    self._jac = self._jac + rows.T @ (flips[:, None] * rows)
                 self._slope = slope
                 return self._jac
         self._slope = slope
-        self._jac = _newton_jacobian(self.ubar, self.gram, slope, self.sign)
+        self._jac = _newton_jacobian(self.ubar, self.gram, slope)
         return self._jac
 
 
-def _newton_step(jac: np.ndarray, resid: np.ndarray, sign: int) -> np.ndarray:
-    """jac^-1 resid: Cholesky (LAPACK posv) for sign +1, where jac >= I, and
-    LU if posv reports a failure; LU for sign -1."""
-    if sign == 1:
-        _, step, info = dposv(jac, resid)
-        if info == 0:
-            return step
+def _newton_step(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """jac^-1 resid by Cholesky (LAPACK posv), since jac >= I; LU if posv
+    reports a failure."""
+    _, step, info = dposv(jac, resid)
+    if info == 0:
+        return step
     return np.linalg.solve(jac, resid)
 
 
 def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
-                   sign: int = 1, tol: float = 1e-10, max_iter: int = 100,
+                   tol: float = 1e-10, max_iter: int = 100,
                    newton: NewtonState | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Proximal map in the metric W = I + sign * Ubar Ubar'.
+    """Proximal map in the metric W = I + Ubar Ubar'.
 
     Solves the r-dimensional root problem
-        Ubar'(x - prox_d(x - sign * Ubar gamma)) + gamma = 0
+        Ubar'(x - prox_d(x - Ubar gamma)) + gamma = 0
     by semismooth Newton with the generalized Jacobian
-    I + sign * Ubar' diag(slope) Ubar, falling back to damped fixed-point
-    steps of length 1 / (1 + lambda_max(Ubar'Ubar)) whenever a Newton
-    candidate fails to shrink the residual; that step length is computed
-    only once a fallback step happens.  For sign +1 the Jacobian is >= I,
-    so each Newton step solves it by Cholesky (LU if that fails); sign -1
-    uses LU.
+    I + Ubar' diag(slope) Ubar, falling back to damped fixed-point steps of
+    length 1 / (1 + lambda_max(Ubar'Ubar)) whenever a Newton candidate
+    fails to shrink the residual; that step length is computed only once a
+    fallback step happens.  The Jacobian is >= I, so each Newton step
+    solves it by Cholesky.
 
-    ``newton`` is the :class:`NewtonState` of this (Ubar, sign), made fresh
-    when not given: Newton starts from its gamma, takes its Jacobians from
-    its memo, and stores the root it finds, so a solver that passes one
-    state to every call starts each map from the last root.  A state of
-    another Ubar or sign raises ValueError.  Returns (prox value, gamma).
+    ``newton`` is the :class:`NewtonState` of this Ubar, made fresh when
+    not given: Newton starts from its gamma, takes its Jacobians from its
+    memo, and stores the root it finds, so a solver that passes one state
+    to every call starts each map from the last root.  A state of another
+    Ubar raises ValueError.  Returns (prox value, gamma).
     """
     x = np.asarray(x, dtype=np.float64)
     ubar = np.asarray(ubar, dtype=np.float64)
@@ -316,13 +310,13 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
     if r == 0:
         return prox_d(x), np.zeros(0)
     if newton is None:
-        newton = NewtonState(ubar, sign)
-    elif newton.ubar is not ubar or newton.sign != sign:
-        raise ValueError("the Newton state belongs to another Ubar or sign")
+        newton = NewtonState(ubar)
+    elif newton.ubar is not ubar:
+        raise ValueError("the Newton state belongs to another Ubar")
     lip = None
 
     def evaluate(gamma):
-        inner = x - sign * (ubar @ gamma)
+        inner = x - ubar @ gamma
         u = prox_d(inner)
         resid = ubar.T @ (x - u) + gamma
         return inner, u, resid, float(np.linalg.norm(resid))
@@ -334,7 +328,7 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
             newton.gamma = gamma
             return u, gamma
         jac = newton.jacobian(prox_d.slope(inner))
-        candidate = gamma - _newton_step(jac, resid, sign)
+        candidate = gamma - _newton_step(jac, resid)
         cand_state = evaluate(candidate)
         if cand_state[3] < res_norm:
             gamma, (inner, u, resid, res_norm) = candidate, cand_state
@@ -370,12 +364,12 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
 
     With a preconditioner each box projection is a :func:`wpm_structured`
     call to tolerance ``P_PROX_TOL`` that shares ``newton``, the
-    :class:`NewtonState` of ``pre.Ubar`` with sign +1: it starts its Newton
-    iteration from the previous projection's gamma and takes its Jacobians
-    from the memo as rank updates of the previous one, each solved by
-    Cholesky.  A solver passes one state to all its calls, so both carry
-    across outer iterations; without one, this call makes a fresh state
-    from ``pre.gram`` and its first projection starts from zero.
+    :class:`NewtonState` of ``pre.Ubar``: it starts its Newton iteration
+    from the previous projection's gamma and takes its Jacobians from the
+    memo as rank updates of the previous one, each solved by Cholesky.  A
+    solver passes one state to all its calls, so both carry across outer
+    iterations; without one, this call makes a fresh state from
+    ``pre.gram`` and its first projection starts from zero.
     """
     s = np.asarray(s, dtype=np.float64)
     if lam_bar < 0:
@@ -387,7 +381,7 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     def prox_p_box(v):
         if pre is None:
             return box.project(v)
-        return wpm_structured(BoxProx(box), v, pre.Ubar, 1, tol=P_PROX_TOL,
+        return wpm_structured(BoxProx(box), v, pre.Ubar, tol=P_PROX_TOL,
                               newton=newton)[0]
 
     if lam_bar == 0.0:
@@ -395,8 +389,8 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
 
     if l_norm_sq is None:
         l_norm_sq = 1.05 * weighted_op_norm_sq(L, structure, 100, Rng(0x5EED))
-    sigma = pre.sigma_max_pinv if pre is not None else 1.0
-    step = 1.0 / (2.0 * lam_bar * lam_bar * l_norm_sq * sigma)
+    # P^-1 <= I, since d >= 1, so the identity metric's dual step is safe
+    step = 1.0 / (2.0 * lam_bar * lam_bar * l_norm_sq)
     comp_w = structure.range_weights
 
     def pinv(v):

@@ -6,12 +6,12 @@ and eigenvalue estimates S_hat; the preconditioner built from them is
     P     = U ((S_hat + mu) / (t + mu)) U' + (I - U U')
     P^-1  = U ((t + mu) / (S_hat + mu)) U' + (I - U U')
 
-with tail value t = s_K (the smallest sketched eigenvalue) or sqrt(s_K)
-when ``sqrt_tail`` is set.  The square root helps only when the sketched
-eigenvalues sit near or below 1; at this package's operator scaling it
-inflates the preconditioned metric and measurably slows the weighted
-proximal solvers, so they default to t = s_K.  P, P^-1 and P^-1/2 share
-the rank-structured form I + U diag(c) U' and apply in O(N K).
+with tail value t = s_K, the smallest sketched eigenvalue (Frangella,
+Tropp & Udell, SIMAX 2023).  The scaled eigenvalues d = (S_hat + mu) /
+(s_K + mu) are therefore nonincreasing, all >= 1, and exactly 1 at the
+tail, so the P-metric is I + Ubar Ubar' with Ubar = U diag(sqrt(d - 1)).
+P, P^-1 and P^-1/2 share the rank-structured form I + U diag(c) U' and
+apply in O(N K).
 
 The sketch follows the stabilized Nystrom method (Tropp, Yurtsever, Udell
 & Cevher, SIMAX 2017): one shift sized by the sketch, one Cholesky of the
@@ -135,23 +135,17 @@ class Preconditioner:
 
     @cached_property
     def Ubar(self) -> np.ndarray:
-        """U's columns scaled by sqrt(d - 1), so P ~ I + Ubar Ubar'; columns
-        with d < 1 are dropped (the full form still drives apply_P and
-        friends).  Computed on first use, since IRM never asks for it."""
-        radicand = self.d - 1.0
-        keep = radicand >= 0.0
-        return self.factor.U[:, keep] * np.sqrt(radicand[keep])
+        """U's columns scaled by sqrt(d - 1), so P = I + Ubar Ubar'.  Computed
+        on first use, since IRM never asks for it."""
+        # Fortran order: with a C-ordered Ubar the products over it sum in
+        # another order, which moved seeded CT WAPG images by up to 7e-15
+        return np.asfortranarray(self.factor.U * np.sqrt(self.d - 1.0))
 
     @cached_property
     def gram(self) -> np.ndarray:
         """Ubar'Ubar, computed on first use and then shared by every weighted
         proximal map in this metric (IRM never asks for it)."""
         return self.Ubar.T @ self.Ubar
-
-    @property
-    def sigma_max_pinv(self) -> float:
-        """Largest eigenvalue of P^-1 (exactly 1 unless sqrt_tail shrinks the tail)."""
-        return max(1.0, float(1.0 / self.d.min()))
 
     def _structured(self, coef: np.ndarray, v: np.ndarray) -> np.ndarray:
         """v + U diag(coef) U' v for a vector v, or for each column of a block."""
@@ -168,19 +162,11 @@ class Preconditioner:
         return self._structured(1.0 / np.sqrt(self.d) - 1.0, v)
 
 
-def build_preconditioner(factor: NystromFactor, mu: float,
-                         sqrt_tail: bool = False) -> Preconditioner:
-    """Assemble the preconditioner from a sketch with regularization mu > 0.
-
-    With sqrt_tail the tail value s_K = S_hat[-1] is replaced by sqrt(s_K),
-    which keeps the last sketched direction active; directions whose scaled
-    eigenvalue falls below 1 are dropped from ``Ubar``.
-    """
+def build_preconditioner(factor: NystromFactor, mu: float) -> Preconditioner:
+    """Assemble the preconditioner from a sketch with regularization mu > 0."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    s_k = float(factor.S_hat[-1])
-    tail = float(np.sqrt(s_k)) if sqrt_tail else s_k
-    d = (factor.S_hat + mu) / (tail + mu)
+    d = (factor.S_hat + mu) / (float(factor.S_hat[-1]) + mu)
     return Preconditioner(factor, d)
 
 

@@ -102,7 +102,6 @@ class IrmConfig:
     inner_tol: float = 1e-4
     inner_max: int = 200
     sketch_size: int = 100  # 0 disables preconditioning
-    sqrt_tail: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.p <= 2.0 and 0.0 < self.q <= 2.0):
@@ -123,10 +122,6 @@ class WapgConfig:
     prox_mode: str = "dual"  # "dual" (TV/HS) or "separable" (orthogonal L, l1)
     inner_tol: float = 1e-6
     inner_max: int = 200
-    # Replacing the tail value by its square root helps only when the sketched
-    # eigenvalues sit near or below 1; at this artifact's operator scaling it
-    # inflates the preconditioned metric and measurably slows convergence.
-    sqrt_tail: bool = False
 
     def __post_init__(self):
         if self.lam < 0:
@@ -279,7 +274,7 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
                     ahead = pool.submit(standard_normal_matrix, n, K, rng.spawn(sketches + 1))
                 factor = nystrom_approx(phi, K, rng.spawn(sketches), omega=omega)
                 sketch_s = time.perf_counter() - t0
-                return build_preconditioner(factor, default_mu(factor), cfg.sqrt_tail).apply_Pinv
+                return build_preconditioner(factor, default_mu(factor)).apply_Pinv
 
             report = pcg(phi, rhs, None, tol=cfg.inner_tol, maxiter=cfg.inner_max, x0=x,
                          build_pinv=sketch_pinv if K > 0 else None)
@@ -353,7 +348,7 @@ def build_wapg_preconditioner(problem, cfg: WapgConfig,
     factor = nystrom_approx(compose(transpose(fwd), fwd),
                             min(cfg.sketch_size, fwd.domain_dim), rng)
     sketch_s = time.perf_counter() - t0
-    return build_preconditioner(factor, default_mu(factor), cfg.sqrt_tail), sketch_s
+    return build_preconditioner(factor, default_mu(factor)), sketch_s
 
 
 def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
@@ -407,7 +402,7 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
         grad = fwd.adjoint(fu - y)
         s = u - alpha * (pre.apply_Pinv(grad) if pre is not None else grad)
         if separable:
-            x_next, _ = wpm_structured(SoftThresholdProx(tau), s, ubar, 1, tol=P_PROX_TOL,
+            x_next, _ = wpm_structured(SoftThresholdProx(tau), s, ubar, tol=P_PROX_TOL,
                                        newton=newton)
             inner = 0
         else:

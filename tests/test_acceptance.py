@@ -77,7 +77,7 @@ def test_criterion_2_condition_number_bound():
     kappas = []
     for seed in range(20):
         factor = nystrom_approx(matrix_operator(phi), min(k, n), Rng(seed))
-        pre = build_preconditioner(factor, mu, sqrt_tail=False)
+        pre = build_preconditioner(factor, mu)
         half = np.column_stack([pre.apply_Pinvhalf(col) for col in np.eye(n)])
         mat = half @ shifted @ half
         eig = np.linalg.eigvalsh(0.5 * (mat + mat.T))
@@ -123,7 +123,7 @@ def test_criterion_4_structured_wpm_oracle():
         r = rng.spawn(trial)
         x = 2.0 * r.normal(6)
         ubar = standard_normal_matrix(6, 2, r)
-        u, gamma = wpm_structured(BoxProx(box), x, ubar, 1, tol=1e-12)
+        u, gamma = wpm_structured(BoxProx(box), x, ubar, tol=1e-12)
         w = np.eye(6) + ubar @ ubar.T
         eta = 1.0 / np.linalg.eigvalsh(w).max()
         ref = np.clip(x, 0.0, 1.0)
@@ -225,7 +225,7 @@ def test_criterion_6_pcg_acceleration():
     for seed in range(10):
         b = Rng(500 + seed).normal(n)
         factor = nystrom_approx(phi, k, Rng(seed))
-        pre = build_preconditioner(factor, mu, sqrt_tail=False)
+        pre = build_preconditioner(factor, mu)
         it_cg = cg(phi, b, tol=1e-6, maxiter=5000).iterations
         it_pcg = pcg(phi, b, pre.apply_Pinv, tol=1e-6, maxiter=5000).iterations
         ratios.append(it_pcg / it_cg)

@@ -119,7 +119,7 @@ class TestPcg:
         q, _ = np.linalg.qr(standard_normal_matrix(n, n, Rng(14)))
         phi = (q * eigs) @ q.T
         factor = nystrom_approx(matrix_operator(phi), k, Rng(15))
-        pre = build_preconditioner(factor, mu, sqrt_tail=False)
+        pre = build_preconditioner(factor, mu)
         shifted = phi + mu * np.eye(n)
         b = Rng(16).normal(n)
         left = pcg(matrix_operator(shifted), b, pre.apply_Pinv, tol=tol, maxiter=500)
@@ -157,7 +157,7 @@ class TestPcg:
         for seed in range(10):
             b = Rng(100 + seed).normal(n)
             factor = nystrom_approx(phi, k, Rng(seed))
-            pre = build_preconditioner(factor, mu, sqrt_tail=False)
+            pre = build_preconditioner(factor, mu)
             it_cg = cg(phi, b, tol=1e-6, maxiter=2000).iterations
             it_pcg = pcg(phi, b, pre.apply_Pinv, tol=1e-6, maxiter=2000).iterations
             counts.append(it_pcg / it_cg)

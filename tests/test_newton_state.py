@@ -17,22 +17,22 @@ from rnp.solvers import WapgConfig, build_wapg_preconditioner, wapg_solve
 
 class TestJacobianMemo:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**31), sign=st.sampled_from([1, -1]),
+    @given(seed=st.integers(0, 2**31),
            flips=st.lists(st.integers(0, 24), min_size=2, max_size=12))
-    def test_memo_matches_rebuild(self, seed, sign, flips):
+    def test_memo_matches_rebuild(self, seed, flips):
         # n = 64 puts the 1/8 cut at 8 changed rows, so flip counts up to 24
         # take both the rank update and the rebuild
         rng = Rng(seed)
         n, r = 64, 5
         ubar = standard_normal_matrix(n, r, rng)
         gram = ubar.T @ ubar
-        state = NewtonState(ubar, sign)
+        state = NewtonState(ubar)
         slope = rng.uniform(n) < 0.5
         for count in flips:
             slope = slope.copy()
             slope[rng.permutation(n)[:count]] ^= True
             jac = state.jacobian(slope)
-            ref = _newton_jacobian(ubar, gram, slope, sign)
+            ref = _newton_jacobian(ubar, gram, slope)
             assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_few_flips_update_many_flips_rebuild(self, monkeypatch):
@@ -107,8 +107,7 @@ class TestNewtonStatePerSolve:
         _, trace = _tv_solve()
         assert 0 < len(builds) < len(steps)  # the memo served some steps
         monkeypatch.setattr(NewtonState, "jacobian",
-                            lambda self, slope: _newton_jacobian(self.ubar, self.gram,
-                                                                 slope, self.sign))
+                            lambda self, slope: _newton_jacobian(self.ubar, self.gram, slope))
         _, rebuilt = _tv_solve()
         assert np.array_equal(trace.inner_iters, rebuilt.inner_iters)
         assert np.allclose(trace.costs, rebuilt.costs, rtol=1e-9, atol=0)
@@ -118,23 +117,17 @@ class TestNewtonStep:
     def test_cholesky_matches_lu_for_sign_plus(self):
         rng = Rng(70)
         ubar = standard_normal_matrix(40, 6, rng)
-        jac = _newton_jacobian(ubar, ubar.T @ ubar, rng.uniform(40) < 0.5, 1)
+        jac = _newton_jacobian(ubar, ubar.T @ ubar, rng.uniform(40) < 0.5)
         resid = rng.normal(6)
-        chol = _newton_step(jac, resid, 1)
+        chol = _newton_step(jac, resid)
         lu = np.linalg.solve(jac, resid)
         assert np.abs(chol - lu).max() <= 1e-12 * np.abs(lu).max()
 
-    def test_sign_minus_and_failed_cholesky_take_lu(self, monkeypatch):
+    def test_failed_cholesky_takes_lu(self, monkeypatch):
         calls = []
         posv = prox.dposv
         monkeypatch.setattr(prox, "dposv", lambda *a: calls.append(1) or posv(*a))
-        rng = Rng(71)
-        ubar = 0.3 * standard_normal_matrix(40, 6, rng)
-        jac = _newton_jacobian(ubar, ubar.T @ ubar, rng.uniform(40) < 0.5, -1)
-        resid = rng.normal(6)
-        assert np.array_equal(_newton_step(jac, resid, -1), np.linalg.solve(jac, resid))
-        assert not calls
         indefinite = np.diag([1.0, -1.0])
-        step = _newton_step(indefinite, np.ones(2), 1)
+        step = _newton_step(indefinite, np.ones(2))
         assert calls and np.array_equal(step, np.linalg.solve(indefinite, np.ones(2)))
 

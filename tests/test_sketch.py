@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnp import linops
 from rnp.core import Rng, standard_normal_matrix
@@ -239,11 +241,37 @@ class TestOracleDense:
         assert np.sum(s > 1e-10 * s[0]) <= 6
 
 
+@st.composite
+def nystrom_factors(draw):
+    """Factors shaped like ``nystrom_approx`` output: S_hat nonnegative and
+    nonincreasing, with any number of exactly zero trailing entries (all K
+    for a zero sketch) and zero columns of U there."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, n))
+    zeros = draw(st.integers(0, k))
+    s_hat = np.zeros(k)
+    s_hat[:k - zeros] = sorted(draw(st.lists(st.floats(1e-12, 1e4), min_size=k - zeros,
+                                             max_size=k - zeros)), reverse=True)
+    u, _ = np.linalg.qr(standard_normal_matrix(n, k, Rng(draw(st.integers(0, 2**31)))))
+    u[:, k - zeros:] = 0.0
+    return NystromFactor(u, s_hat)
+
+
+class TestPreconditionerInvariant:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(factor=nystrom_factors(), mu=st.one_of(st.just(None), st.floats(1e-8, 1e2)))
+    def test_scaled_eigenvalues_nonincreasing_and_one_at_tail(self, factor, mu):
+        pre = build_preconditioner(factor, default_mu(factor) if mu is None else mu)
+        assert np.all(np.diff(pre.d) <= 0.0)
+        assert pre.d[-1] == 1.0  # so every d >= 1 and P^-1 <= I
+        assert pre.Ubar.shape == factor.U.shape
+
+
 class TestPreconditioner:
     def setup_method(self):
         self.phi = random_psd(40, np.exp(np.linspace(0, -5, 40)), seed=20)
         self.factor = nystrom_approx(matrix_operator(self.phi), 15, Rng(21))
-        self.pre = build_preconditioner(self.factor, mu=1e-3, sqrt_tail=False)
+        self.pre = build_preconditioner(self.factor, mu=1e-3)
 
     def test_inverse_pair(self):
         rng = Rng(22)
@@ -256,13 +284,6 @@ class TestPreconditioner:
         v -= self.factor.U @ (self.factor.U.T @ v)
         assert np.abs(self.pre.apply_P(v) - v).max() < 1e-10
 
-    def test_smallest_eigenvalue_is_one(self):
-        rng = Rng(24)
-        for _ in range(20):
-            v = rng.normal(40)
-            assert np.linalg.norm(self.pre.apply_P(v)) >= np.linalg.norm(v) - 1e-9
-        assert self.pre.sigma_max_pinv == 1.0
-
     def test_half_power_composition(self):
         rng = Rng(25)
         for _ in range(10):
@@ -271,7 +292,6 @@ class TestPreconditioner:
             assert np.abs(twice - self.pre.apply_Pinv(v)).max() < 1e-9
 
     def test_rank_structured_form_matches_P(self):
-        # P = I + Ubar Ubar' when no columns are dropped
         v = Rng(26).normal(40)
         via_ubar = v + self.pre.Ubar @ (self.pre.Ubar.T @ v)
         assert np.abs(via_ubar - self.pre.apply_P(v)).max() < 1e-9
@@ -280,23 +300,22 @@ class TestPreconditioner:
         phi = random_psd(30, np.linspace(0.2, 2.0, 30), seed=28)
         mu = 1e-2
         factor = nystrom_approx(matrix_operator(phi), 30, Rng(29))
-        pre = build_preconditioner(factor, mu, sqrt_tail=False)
+        pre = build_preconditioner(factor, mu)
         shifted = phi + mu * np.eye(30)
         half = np.column_stack([pre.apply_Pinvhalf(col) for col in np.eye(30)])
         mat = half @ shifted @ half
         eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
         assert eigs[-1] / eigs[0] == pytest.approx(1.0, abs=1e-6)
 
-    def test_sqrt_tail_drops_shrunk_columns(self):
-        factor = NystromFactor(np.eye(4)[:, :2], np.array([9.0, 4.0]))
-        pre = build_preconditioner(factor, mu=1.0, sqrt_tail=True)
-        # tail = 2: d = (S+1)/3 = [10/3, 5/3]; both radicands positive here
-        assert pre.Ubar.shape[1] == 2
-        factor2 = NystromFactor(np.eye(4)[:, :2], np.array([9.0, 0.25]))
-        pre2 = build_preconditioner(factor2, mu=1.0, sqrt_tail=True)
-        # tail = 0.5: d = [10/1.5, 1.25/1.5]; second radicand negative, dropped
-        assert pre2.Ubar.shape[1] == 1
-        assert pre2.sigma_max_pinv > 1.0
+    def test_ubar_is_scaled_u_in_fortran_order(self):
+        # Fortran order keeps seeded WAPG outputs bit-identical: on seed 180 a
+        # C-ordered Ubar moved the final K=20 ct-tv and ct-wavelet images by up
+        # to 6.8e-15 and 3.1e-15, a drift acceptance 8(a) cannot see (it runs K=0)
+        for u in (self.factor.U, np.ascontiguousarray(self.factor.U),
+                  np.asfortranarray(self.factor.U)):
+            pre = build_preconditioner(NystromFactor(u, self.factor.S_hat), mu=1e-3)
+            assert np.array_equal(pre.Ubar, u * np.sqrt(pre.d - 1.0))
+            assert pre.Ubar.flags.f_contiguous
 
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(ValueError):

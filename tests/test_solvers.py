@@ -469,7 +469,7 @@ class TestLipschitzEstimate:
         from rnp.linops import compose, radon_operator, to_dense, transpose
         A = radon_operator(24, 12, 35)
         factor = nystrom_approx(compose(transpose(A), A), 8, Rng(64))
-        pre = build_preconditioner(factor, default_mu(factor), sqrt_tail=False)
+        pre = build_preconditioner(factor, default_mu(factor))
         half = np.column_stack([pre.apply_Pinvhalf(col) for col in np.eye(A.domain_dim)])
         dense = to_dense(A) @ half
         top = np.linalg.eigvalsh(dense.T @ dense)[-1]
@@ -505,7 +505,7 @@ class TestLipschitzEstimate:
         A = matrix_operator(mat)
         normal_op = matrix_operator(mat.T @ mat)
         factor = nystrom_approx(normal_op, 8, Rng(10))
-        pre = build_preconditioner(factor, 1e-2, sqrt_tail=False)
+        pre = build_preconditioner(factor, 1e-2)
         est = estimate_lipschitz_pnorm(A, pre, 300, Rng(11))
         half = np.column_stack([pre.apply_Pinvhalf(col) for col in np.eye(20)])
         dense = half @ (mat.T @ mat) @ half
@@ -714,20 +714,6 @@ class TestCostClosedForms:
 
 
 class TestWapgVariants:
-    def test_sqrt_tail_option_runs_and_descends(self):
-        from rnp.problems import make_ct
-        prob = make_ct(32, 20, "tv", 0.01, Rng(30))
-        from rnp.solvers import build_wapg_preconditioner
-        cfg = WapgConfig(lam=0.5, phi=1, sketch_size=10, outer_max=15,
-                         box=BoxConstraint(0.0, 1.0), sqrt_tail=True)
-        rng = Rng(31)
-        pre, _ = build_wapg_preconditioner(prob, cfg, rng.spawn(0))
-        assert pre.sigma_max_pinv >= 1.0
-        plain = build_preconditioner(pre.factor, default_mu(pre.factor))
-        assert not np.array_equal(pre.d, plain.d)
-        _, trace = wapg_solve(prob, cfg, pre, rng.spawn(1))
-        assert trace.costs[-1] < trace.costs[0]
-
     @pytest.mark.parametrize("reg,phi", [("tv", 2), ("hs", math.inf)])
     def test_other_group_norms_descend(self, reg, phi):
         from rnp.problems import make_ct
