@@ -48,14 +48,18 @@ class BoxConstraint:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=np.float64), self.lo, self.hi)
+        out = np.maximum(np.asarray(x, dtype=np.float64), self.lo)
+        return np.minimum(out, self.hi, out=out)
 
 
 def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
+    """x - clip(x, -tau, tau): sign(x) max(|x| - tau, 0), with +0 inside."""
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    clipped = np.maximum(x, -tau)
+    np.minimum(clipped, tau, out=clipped)
+    return np.subtract(x, clipped, out=clipped)
 
 
 class SeparableProx:
@@ -82,7 +86,9 @@ class BoxProx(SeparableProx):
 
     def slope(self, u):
         # 0 on the active boundary keeps the Newton Jacobian PSD
-        return (u > self.box.lo) & (u < self.box.hi)
+        on = u > self.box.lo
+        on &= u < self.box.hi
+        return on
 
 
 class SoftThresholdProx(SeparableProx):
@@ -135,7 +141,8 @@ def _sym_rebuild(c1: np.ndarray, c2: np.ndarray, delta: np.ndarray,
 
 
 def _project_linf_rows(q: np.ndarray) -> np.ndarray:
-    return np.clip(q, -1.0, 1.0)
+    out = np.maximum(q, -1.0)
+    return np.minimum(out, 1.0, out=out)
 
 
 def _project_l2_rows(q: np.ndarray) -> np.ndarray:
@@ -241,6 +248,9 @@ class NewtonState:
     (pass ``Preconditioner.gram`` or let it be computed once), ``gamma``,
     the root of the last map, from which the next :func:`wpm_structured`
     call starts, and a Jacobian memo: the last slope and its Jacobian.
+    ``gamma`` is kept unshifted, as the root for the point the map was
+    taken at: a call with ``shift=w`` starts from gamma - w and stores its
+    root plus w, so warm starts carry across calls whatever their shifts.
     When at most 1/8 of the rows change slope, the next Jacobian is the
     last one plus Ubar_c' diag(+-1) Ubar_c over the changed rows c
     (+1 where a row turns on), a product over a few rows instead of up to
@@ -262,12 +272,15 @@ class NewtonState:
         """I + Ubar' diag(slope) Ubar, as a rank update of the memo when
         few slopes changed, else from :func:`_newton_jacobian`."""
         if self._slope is not None:
-            changed = np.flatnonzero(slope != self._slope)
+            changed = slope != self._slope
+            if not changed.any():
+                self._slope = slope
+                return self._jac
+            changed = np.flatnonzero(changed)
             if 8 * changed.size <= slope.size:
-                if changed.size:
-                    rows = self.ubar[changed]
-                    flips = np.where(slope[changed], 1.0, -1.0)
-                    self._jac = self._jac + rows.T @ (flips[:, None] * rows)
+                rows = self.ubar[changed]
+                flips = np.where(slope[changed], 1.0, -1.0)
+                self._jac = self._jac + rows.T @ (flips[:, None] * rows)
                 self._slope = slope
                 return self._jac
         self._slope = slope
@@ -284,59 +297,74 @@ def _newton_step(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
     return np.linalg.solve(jac, resid)
 
 
+def _newton_residual(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
+                     gamma: np.ndarray, c: np.ndarray | None):
+    """(x - Ubar gamma, its prox u, the residual Ubar'(x - u) + gamma [+ c],
+    the residual's norm) of :func:`wpm_structured`'s root problem."""
+    inner = ubar @ gamma
+    np.subtract(x, inner, out=inner)
+    u = prox_d(inner)
+    resid = ubar.T @ (x - u)
+    resid += gamma
+    if c is not None:
+        resid += c
+    return inner, u, resid, math.sqrt(resid @ resid)
+
+
 def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
                    tol: float = 1e-10, max_iter: int = 100,
-                   newton: NewtonState | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Proximal map in the metric W = I + Ubar Ubar'.
+                   newton: NewtonState | None = None,
+                   shift: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Proximal map in the metric W = I + Ubar Ubar' of x + Ubar shift.
 
     Solves the r-dimensional root problem
-        Ubar'(x - prox_d(x - Ubar gamma)) + gamma = 0
-    by semismooth Newton with the generalized Jacobian
-    I + Ubar' diag(slope) Ubar, falling back to damped fixed-point steps of
-    length 1 / (1 + lambda_max(Ubar'Ubar)) whenever a Newton candidate
-    fails to shrink the residual; that step length is computed only once a
-    fallback step happens.  The Jacobian is >= I, so each Newton step
-    solves it by Cholesky.
+        Ubar'(x - prox_d(x - Ubar gamma)) + gamma + c = 0,
+    c = (I + Ubar'Ubar) shift (c = 0 without a shift), by semismooth Newton
+    with the generalized Jacobian I + Ubar' diag(slope) Ubar, falling back
+    to damped fixed-point steps of length 1 / (1 + lambda_max(Ubar'Ubar))
+    whenever a Newton candidate fails to shrink the residual; that step
+    length is computed only once a fallback step happens.  The Jacobian is
+    >= I, so each Newton step solves it by Cholesky.  Its root is the
+    unshifted map's root for x + Ubar shift minus the shift, so a caller
+    that moves its point along Ubar, as P^-1 = I - Ubar diag(1/d) Ubar'
+    does, passes the move as ``shift`` and never forms the moved point.
 
     ``newton`` is the :class:`NewtonState` of this Ubar, made fresh when
     not given: Newton starts from its gamma, takes its Jacobians from its
-    memo, and stores the root it finds, so a solver that passes one state
-    to every call starts each map from the last root.  A state of another
-    Ubar raises ValueError.  Returns (prox value, gamma).
+    memo, and stores the root it finds, unshifted, so a solver that passes
+    one state to every call starts each map from the last root.  A state of
+    another Ubar raises ValueError.  Returns (prox value, unshifted gamma).
     """
     x = np.asarray(x, dtype=np.float64)
-    ubar = np.asarray(ubar, dtype=np.float64)
-    r = ubar.shape[1] if ubar.ndim == 2 else 0
-    if r == 0:
+    if ubar.ndim != 2 or ubar.shape[1] == 0:
         return prox_d(x), np.zeros(0)
     if newton is None:
         newton = NewtonState(ubar)
+        ubar = newton.ubar
     elif newton.ubar is not ubar:
         raise ValueError("the Newton state belongs to another Ubar")
+    if shift is None:
+        gamma, c = newton.gamma, None
+    else:
+        gamma = newton.gamma - shift
+        c = newton.gram @ shift
+        c += shift
     lip = None
-
-    def evaluate(gamma):
-        inner = x - ubar @ gamma
-        u = prox_d(inner)
-        resid = ubar.T @ (x - u) + gamma
-        return inner, u, resid, float(np.linalg.norm(resid))
-
-    gamma = newton.gamma
-    inner, u, resid, res_norm = evaluate(gamma)
+    inner, u, resid, res_norm = _newton_residual(prox_d, x, ubar, gamma, c)
     for _ in range(max_iter):
         if res_norm <= tol:
-            newton.gamma = gamma
-            return u, gamma
+            newton.gamma = gamma if shift is None else gamma + shift
+            return u, newton.gamma
         jac = newton.jacobian(prox_d.slope(inner))
         candidate = gamma - _newton_step(jac, resid)
-        cand_state = evaluate(candidate)
+        cand_state = _newton_residual(prox_d, x, ubar, candidate, c)
         if cand_state[3] < res_norm:
             gamma, (inner, u, resid, res_norm) = candidate, cand_state
         else:
             if lip is None:
                 lip = 1.0 + float(np.linalg.eigvalsh(newton.gram).max())
             gamma = gamma - resid / lip
-            inner, u, resid, res_norm = evaluate(gamma)
+            inner, u, resid, res_norm = _newton_residual(prox_d, x, ubar, gamma, c)
     raise RuntimeError(
         f"weighted prox did not converge in {max_iter} iterations (residual {res_norm:.3e})")
 
@@ -360,10 +388,15 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     in the P metric per iteration.  Stops once the relative primal change
     falls below inner_tol and the duality gap certifies the result within
     10*inner_tol*(1+|primal|), or at inner_max.  Returns (x, Q, iterations);
-    pass Q back as ``q0`` to warm-start the next call.
+    pass Q back as ``q0`` to warm-start the next call.  The loop overwrites
+    the arrays that ``L`` returns.
 
-    With a preconditioner each box projection is a :func:`wpm_structured`
-    call to tolerance ``P_PROX_TOL`` that shares ``newton``, the
+    The primal point of a dual point Q is the box projection of
+    s - P^-1 h, h = lam_bar L'(W Q).  With a preconditioner
+    P^-1 h = h - Ubar diag(1/d) Ubar' h, so that projection is a
+    :func:`wpm_structured` call on s - h with ``shift`` (Ubar'h)/d: one
+    pass over Ubar in place of P^-1's two over U.  Each call runs to
+    tolerance ``P_PROX_TOL`` and shares ``newton``, the
     :class:`NewtonState` of ``pre.Ubar``: it starts its Newton iteration
     from the previous projection's gamma and takes its Jacobians from the
     memo as rank updates of the previous one, each solved by Cholesky.  A
@@ -374,30 +407,32 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     s = np.asarray(s, dtype=np.float64)
     if lam_bar < 0:
         raise ValueError("lam_bar must be nonnegative")
+    if pre is not None:
+        box_prox = BoxProx(box)
+        if newton is None:
+            newton = NewtonState(pre.Ubar, gram=pre.gram)
+    comp_w = structure.range_weights
+    if np.all(comp_w == 1.0):
+        comp_w = None  # every weight is 1: nothing to multiply
 
-    if pre is not None and newton is None:
-        newton = NewtonState(pre.Ubar, gram=pre.gram)
-
-    def prox_p_box(v):
+    def recover(dual):
+        h = L.adjoint(dual if comp_w is None else comp_w * dual)
+        h *= lam_bar
         if pre is None:
-            return box.project(v)
-        return wpm_structured(BoxProx(box), v, pre.Ubar, tol=P_PROX_TOL,
-                              newton=newton)[0]
+            return box.project(np.subtract(s, h, out=h))
+        shift = pre.Ubar.T @ h
+        shift /= pre.d
+        return wpm_structured(box_prox, np.subtract(s, h, out=h), pre.Ubar,
+                              tol=P_PROX_TOL, newton=newton, shift=shift)[0]
 
-    if lam_bar == 0.0:
-        return prox_p_box(s), np.zeros(L.range_dim), 0
+    if lam_bar == 0.0:  # a zero dual point recovers the P-metric projection of s
+        q = np.zeros(L.range_dim)
+        return recover(q), q, 0
 
     if l_norm_sq is None:
         l_norm_sq = 1.05 * weighted_op_norm_sq(L, structure, 100, Rng(0x5EED))
     # P^-1 <= I, since d >= 1, so the identity metric's dual step is safe
     step = 1.0 / (2.0 * lam_bar * lam_bar * l_norm_sq)
-    comp_w = structure.range_weights
-
-    def pinv(v):
-        return pre.apply_Pinv(v) if pre is not None else v
-
-    def recover(dual):
-        return prox_p_box(s - lam_bar * pinv(L.adjoint(comp_w * dual)))
 
     def gap_certified(dual, x_dual):
         lx = L.apply(x_dual)
@@ -408,7 +443,7 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
         primal = quad + lam_bar * norm
         return gap <= 10.0 * inner_tol * (1.0 + abs(primal))
 
-    q = np.zeros(L.range_dim) if q0 is None else np.asarray(q0, dtype=np.float64).copy()
+    q = np.zeros(L.range_dim) if q0 is None else np.array(q0, dtype=np.float64)
     z = q.copy()
     t = 1.0
     x_prev = None
@@ -416,13 +451,18 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     for _ in range(inner_max):
         used += 1
         x = recover(z)
-        grad = -2.0 * lam_bar * L.apply(x)
-        q_next = project_group_ball(z - step * grad, phi, structure)
+        grad = L.apply(x)
+        grad *= -2.0 * lam_bar
+        grad *= step
+        q_next = project_group_ball(np.subtract(z, grad, out=grad), phi, structure)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = q_next + ((t - 1.0) / t_next) * (q_next - q)
+        np.subtract(q_next, q, out=z)
+        z *= (t - 1.0) / t_next
+        z += q_next
         q, t = q_next, t_next
         if x_prev is not None:
-            if np.linalg.norm(x - x_prev) <= inner_tol * max(np.linalg.norm(x), 1e-300):
+            change = np.subtract(x, x_prev, out=x_prev)
+            if math.sqrt(change @ change) <= inner_tol * max(math.sqrt(x @ x), 1e-300):
                 x_final = recover(q)
                 if gap_certified(q, x_final):
                     return x_final, q, used

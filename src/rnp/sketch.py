@@ -9,7 +9,11 @@ and eigenvalue estimates S_hat; the preconditioner built from them is
 with tail value t = s_K, the smallest sketched eigenvalue (Frangella,
 Tropp & Udell, SIMAX 2023).  The scaled eigenvalues d = (S_hat + mu) /
 (s_K + mu) are therefore nonincreasing, all >= 1, and exactly 1 at the
-tail, so the P-metric is I + Ubar Ubar' with Ubar = U diag(sqrt(d - 1)).
+tail, so the P-metric is I + Ubar Ubar' with Ubar = U diag(sqrt(d - 1)),
+and P^-1 = I - Ubar diag(1/d) Ubar'.  WAPG's separable step and its dual
+ascent apply P^-1 in that form, as a shift of the Newton variable of a
+P-metric proximal map (``prox.wpm_structured``): one pass over Ubar in
+place of two over U.
 P, P^-1 and P^-1/2 share the rank-structured form I + U diag(c) U' and
 apply in O(N K).
 
@@ -69,7 +73,9 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     product or loops over the columns.  The sketch Y = Phi Omega is shifted
     to Y_nu = Y + nu Omega, nu = sqrt(N) * MACHINE_EPS * ||Y||_F (Frangella,
     Tropp & Udell, SIMAX 2023), and the core Omega'Y_nu is factored once; a
-    failed Cholesky raises ``LinAlgError``: the operator is not PSD.  A zero
+    failed Cholesky raises ``LinAlgError``: the operator is not PSD.  A
+    sketch with a NaN or an infinity makes nu non-finite, which raises
+    ``ValueError``; this one scalar is the only finiteness check.  A zero
     sketch (Y = 0) returns the exact zero factor, U = 0 and S_hat = 0.
 
     With C the Cholesky factor, B = Y_nu C^-T is formed explicitly and its
@@ -96,6 +102,8 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     omega = np.asfortranarray(omega)
     y = np.asfortranarray(phi.apply(omega))
     nu = np.sqrt(n) * MACHINE_EPS * float(np.linalg.norm(y))
+    if not np.isfinite(nu):
+        raise ValueError("the sketch Phi Omega is not finite")
     if nu == 0.0:  # Y = 0: Phi vanishes on the range of Omega
         return NystromFactor(np.zeros((n, K)), np.zeros(K))
     y_nu = y + nu * omega
@@ -106,7 +114,7 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "Cholesky of the shifted sketch failed; operator is not PSD") from exc
-    b = solve_triangular(chol, y_nu.T, lower=True).T
+    b = solve_triangular(chol, y_nu.T, lower=True, check_finite=False).T
     sigma_sq, v = np.linalg.eigh(b.T @ b)
     sigma_sq, v = sigma_sq[::-1], v[:, ::-1]
     r = int(np.count_nonzero(sigma_sq > nu))

@@ -400,12 +400,14 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
             a_img = (fu + beta * a_img) / (1.0 + beta)
             trace.append(cost=wapg_cost(problem, cfg, x, a_img), **row)
         grad = fwd.adjoint(fu - y)
-        s = u - alpha * (pre.apply_Pinv(grad) if pre is not None else grad)
         if separable:
-            x_next, _ = wpm_structured(SoftThresholdProx(tau), s, ubar, tol=P_PROX_TOL,
-                                       newton=newton)
+            # u - alpha P^-1 grad = (u - alpha grad) + Ubar shift
+            shift = None if pre is None else alpha * (ubar.T @ grad) / pre.d
+            x_next, _ = wpm_structured(SoftThresholdProx(tau), u - alpha * grad, ubar,
+                                       tol=P_PROX_TOL, newton=newton, shift=shift)
             inner = 0
         else:
+            s = u - alpha * (pre.apply_Pinv(grad) if pre is not None else grad)
             x_next, q_dual, inner = wpm_mixed_dual(
                 s, tau, problem.L, problem.structure, cfg.phi, pre, cfg.box,
                 inner_tol=cfg.inner_tol, inner_max=cfg.inner_max, q0=q_dual,

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from rnp.core import ImageGrid, Rng, standard_normal_matrix
 from rnp.harness import (ExperimentSpec, compare_inner_iterations,
@@ -19,10 +18,8 @@ from rnp.linops import (GroupStructure, adjoint_defect, blur_operator,
                         downsample_operator, grad_operator, hessian_operator,
                         matrix_operator, radon_operator, to_dense,
                         wavelet_operator)
-from rnp.problems import (add_salt_pepper, gaussian_kernel, make_ct,
-                          make_deblur, phantom)
-from rnp.prox import (BoxConstraint, BoxProx, dual_exponent, group_pairing,
-                      mixed_norm_value, project_group_ball,
+from rnp.problems import add_salt_pepper, gaussian_kernel, make_ct, make_deblur
+from rnp.prox import (BoxConstraint, BoxProx, dual_exponent, project_group_ball,
                       weighted_op_norm_sq, wpm_mixed_dual, wpm_structured)
 from rnp.sketch import (build_preconditioner, effective_dimension,
                         nystrom_approx, nystrom_oracle_dense,

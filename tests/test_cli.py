@@ -1,6 +1,4 @@
 import csv
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest

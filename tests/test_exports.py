@@ -1,6 +1,7 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and every exported name and every dataclass field has a reader outside the
-tests."""
+every exported name and every dataclass field has a reader outside the
+tests, and every module of the package and of the tests reads what it
+imports."""
 
 import ast
 import dataclasses
@@ -21,6 +22,10 @@ TEST_ORACLES = {"identity_operator", "to_dense", "compare_inner_iterations", "or
 # Dataclass fields read by the tests alone: a Krylov diagnostic to be surfaced
 # in traces, and the result of an acceptance oracle.
 TEST_ONLY_FIELDS = {"KrylovReport.final_relres", "InnerIterationComparison.median_reduction"}
+# Imports their module never reads, each with its reason.
+UNREAD_IMPORTS = {
+    "solvers.cg": "bench/spans.py wraps rnp.solvers.cg by name",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -80,3 +85,28 @@ def test_every_dataclass_field_has_a_reader_outside_the_tests():
                  for f in dataclasses.fields(cls) if f.name not in read}
     assert sorted(test_only - TEST_ONLY_FIELDS) == []
     assert sorted(TEST_ONLY_FIELDS - test_only) == []  # no stale entries in the list
+
+
+def _unread_imports(path: Path) -> set[str]:
+    """Names a module imports and never reads; ``from __future__`` imports
+    do not count.  A dotted ``import a.b`` binds, and is read as, ``a``."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_import_is_read():
+    package = Path(rnp.__file__).parent
+    # the package's __init__ imports only to re-export
+    modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted((REPO / "tests").glob("*.py"))
+    assert len(modules) > len(MODULES)
+    unread = {f"{path.stem}.{name}" for path in modules for name in _unread_imports(path)}
+    assert sorted(unread - UNREAD_IMPORTS.keys()) == []
+    assert sorted(UNREAD_IMPORTS.keys() - unread) == []  # no stale entries in the list

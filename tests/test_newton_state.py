@@ -114,7 +114,7 @@ class TestNewtonStatePerSolve:
 
 
 class TestNewtonStep:
-    def test_cholesky_matches_lu_for_sign_plus(self):
+    def test_cholesky_matches_lu(self):
         rng = Rng(70)
         ubar = standard_normal_matrix(40, 6, rng)
         jac = _newton_jacobian(ubar, ubar.T @ ubar, rng.uniform(40) < 0.5)

@@ -6,14 +6,14 @@ import pytest
 from rnp import prox
 from rnp.core import Rng, standard_normal_matrix
 from rnp.linops import (GroupStructure, LinearOperator, grad_operator,
-                        identity_operator, matrix_operator, to_dense)
+                        identity_operator, to_dense)
 from rnp.problems import make_ct
 from rnp.prox import (BoxConstraint, BoxProx, NewtonState, SeparableProx,
                       SoftThresholdProx, _newton_jacobian, dual_exponent,
                       group_pairing, mixed_norm_value, project_group_ball,
                       soft_threshold, weighted_op_norm_sq, wpm_mixed_dual,
                       wpm_structured)
-from rnp.sketch import NystromFactor, build_preconditioner
+from rnp.sketch import NystromFactor, Preconditioner, build_preconditioner
 from rnp.solvers import WapgConfig, build_wapg_preconditioner, wapg_solve
 
 
@@ -231,6 +231,40 @@ class TestWpmStructured:
                            np.ones((4, 1)), tol=1e-16, max_iter=1)
 
 
+class TestShiftedProx:
+    """``shift=w`` gives the P-metric prox of v + Ubar w, and the state keeps
+    the unshifted root."""
+
+    @pytest.mark.parametrize("prox_d", [BoxProx(BoxConstraint(0.0, 1.0)),
+                                        SoftThresholdProx(0.3)])
+    def test_shift_matches_the_moved_point(self, prox_d):
+        rng = Rng(33)
+        n, r = 40, 5
+        ubar = 0.7 * standard_normal_matrix(n, r, rng)
+        ubar[:, -1] = 0.0  # the tail column, where d = 1
+        folded_state, explicit_state = NewtonState(ubar), NewtonState(ubar)
+        for _ in range(6):  # both states are reused across calls with different shifts
+            v = 1.5 * rng.normal(n) + 0.5
+            w = rng.normal(r)
+            folded, gamma = wpm_structured(prox_d, v, ubar, tol=1e-12,
+                                           newton=folded_state, shift=w)
+            explicit, gamma_ref = wpm_structured(prox_d, v + ubar @ w, ubar, tol=1e-12,
+                                                 newton=explicit_state)
+            assert np.abs(folded - explicit).max() <= 1e-12 * np.abs(explicit).max()
+            assert np.abs(gamma - gamma_ref).max() <= 1e-12 * np.abs(gamma_ref).max()
+            assert folded_state.gamma is gamma
+            assert gamma[-1] == 0.0
+
+    def test_no_shift_and_zero_shift_agree(self):
+        rng = Rng(35)
+        ubar = standard_normal_matrix(30, 3, rng)
+        x = 2.0 * rng.normal(30)
+        box_prox = BoxProx(BoxConstraint(0.0, 1.0))
+        plain, gamma = wpm_structured(box_prox, x, ubar, tol=1e-12)
+        zero, gamma_zero = wpm_structured(box_prox, x, ubar, tol=1e-12, shift=np.zeros(3))
+        assert np.array_equal(plain, zero) and np.array_equal(gamma, gamma_zero)
+
+
 class TestWpmFastPath:
     def test_jacobian_matches_dense_formula(self):
         rng = Rng(30)
@@ -423,3 +457,44 @@ class TestDualProxWithPreconditioner:
         primal = 0.5 * float(diff @ pre.apply_P(diff)) + lam * mixed_norm_value(lx, 1, gs)
         assert -1e-12 <= gap <= 10.0 * inner_tol * (1.0 + abs(primal))
         assert np.all((x >= 0.0) & (x <= 1.0))
+
+
+def _dual_setup(kind: str):
+    from rnp.linops import hessian_operator
+    n = 8
+    op, gs = grad_operator(n, n) if kind == "grad" else hessian_operator(n, n)
+    rng = Rng(34)
+    s = rng.normal(n * n) * 0.6 + 0.4
+    u_cols, _ = np.linalg.qr(standard_normal_matrix(n * n, 4, rng))
+    pre = build_preconditioner(NystromFactor(u_cols, np.array([5.0, 3.0, 2.0, 1.0])), mu=0.5)
+    q0 = project_group_ball(rng.normal(op.range_dim), 1, gs)
+    return op, gs, s, pre, q0
+
+
+class TestDualProxInNewtonCoordinates:
+    @pytest.mark.parametrize("kind", ["grad", "hessian"])
+    def test_recover_matches_the_explicit_pinv_point(self, kind, monkeypatch):
+        op, gs, s, pre, q0 = _dual_setup(kind)
+        lam = 0.2
+        points = []
+        original = prox.wpm_structured
+
+        def recording(prox_d, v, ubar, **kwargs):
+            points.append(v + ubar @ kwargs["shift"])
+            return original(prox_d, v, ubar, **kwargs)
+
+        monkeypatch.setattr(prox, "wpm_structured", recording)
+        wpm_mixed_dual(s, lam, op, gs, 1, pre, BoxConstraint(0.0, 1.0), q0=q0, inner_max=1)
+        # the first projection recovers the primal point of q0
+        explicit = s - lam * pre.apply_Pinv(op.adjoint(gs.range_weights * q0))
+        assert np.abs(points[0] - explicit).max() <= 1e-12 * np.abs(explicit).max()
+
+    def test_dual_ascent_makes_no_pinv_apply(self, monkeypatch):
+        op, gs, s, pre, q0 = _dual_setup("grad")
+        calls = []
+        apply_pinv = Preconditioner.apply_Pinv
+        monkeypatch.setattr(Preconditioner, "apply_Pinv",
+                            lambda self, v: calls.append(1) or apply_pinv(self, v))
+        _, _, iters = wpm_mixed_dual(s, 0.2, op, gs, 1, pre, BoxConstraint(0.0, 1.0), q0=q0)
+        assert iters > 1
+        assert calls == []

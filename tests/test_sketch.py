@@ -203,6 +203,16 @@ class TestNystromApprox:
         err = np.linalg.norm(low_rank_reconstruction(factor) - phi) / np.linalg.norm(phi)
         assert err <= 1e-6
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sketch_raises(self, bad):
+        def apply(x):
+            y = np.array(x, dtype=np.float64)
+            y[3] = bad  # one row of the image, of a vector or of each column
+            return y
+
+        with pytest.raises(ValueError, match="sketch Phi Omega is not finite"):
+            nystrom_approx(LinearOperator(20, 20, apply, apply), 5, Rng(35))
+
     def test_zero_operator_gives_the_zero_factor(self):
         factor = nystrom_approx(matrix_operator(np.zeros((20, 20))), 5, Rng(32))
         assert np.array_equal(factor.S_hat, np.zeros(5))

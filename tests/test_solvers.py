@@ -18,10 +18,10 @@ from rnp.core import ImageGrid, Rng, standard_normal_matrix
 from rnp.krylov import pcg
 from rnp.linops import (GroupStructure, LinearOperator, grad_operator, hessian_operator,
                         identity_operator, matrix_operator)
-from rnp.problems import make_ct, make_deblur, phantom
+from rnp.problems import make_ct, make_deblur
 from rnp.prox import (BoxConstraint, weighted_op_norm_sq, wpm_mixed_dual,
                       wpm_structured)
-from rnp.sketch import build_preconditioner, default_mu, nystrom_approx
+from rnp.sketch import Preconditioner, build_preconditioner, default_mu, nystrom_approx
 from rnp.solvers import (L_NORM_STEPS, LIPSCHITZ_STEPS, IrmConfig, WapgConfig,
                          _effective_forward, build_wapg_preconditioner,
                          default_eps_smooth, estimate_lipschitz_pnorm,
@@ -640,6 +640,51 @@ class TestWapgSeparableApplies:
         assert np.array_equal(img, L.adjoint(iterates[-1]))
         # one Newton state carries gamma from each soft threshold to the next
         assert states[0] is not None and all(s is states[0] for s in states)
+
+
+class TestWapgSeparableStep:
+    """The separable step passes u - alpha P^-1 g to the soft threshold as
+    the point u - alpha g shifted by alpha (Ubar'g)/d along Ubar."""
+
+    @staticmethod
+    def _solve(monkeypatch, outer):
+        import rnp.solvers as solvers
+        calls = []
+
+        def recording(prox_d, v, ubar, **kwargs):
+            result = wpm_structured(prox_d, v, ubar, **kwargs)
+            calls.append((v, kwargs["shift"], result[0]))
+            return result
+
+        monkeypatch.setattr(solvers, "wpm_structured", recording)
+        prob = make_ct(32, 20, "wavelet", 0.01, Rng(42))
+        cfg = WapgConfig(lam=0.02, sketch_size=8, outer_max=outer, prox_mode="separable",
+                         alpha=2e-3)
+        rng = Rng(43)
+        pre, _ = build_wapg_preconditioner(prob, cfg, rng.spawn(0))
+        wapg_solve(prob, cfg, pre, rng.spawn(1))
+        return prob, cfg, pre, calls
+
+    def test_step_matches_the_explicit_pinv_point(self, monkeypatch):
+        prob, cfg, pre, calls = self._solve(monkeypatch, 2)
+        fwd = _effective_forward(prob, cfg)
+        x1 = calls[0][2]
+        # u = x_0 = 0 in the first iteration; the momentum weight of the
+        # second is (t_1 - 1)/t_2 = 0, so its u is x_1
+        for (v, shift, _), u in zip(calls, (np.zeros(fwd.domain_dim), x1)):
+            grad = fwd.adjoint(fwd.apply(u) - prob.y)
+            explicit = u - cfg.alpha * pre.apply_Pinv(grad)
+            folded = v + pre.Ubar @ shift
+            assert np.abs(folded - explicit).max() <= 1e-12 * np.abs(explicit).max()
+
+    def test_separable_solve_makes_no_pinv_apply(self, monkeypatch):
+        applies = []
+        apply_pinv = Preconditioner.apply_Pinv
+        monkeypatch.setattr(Preconditioner, "apply_Pinv",
+                            lambda self, v: applies.append(1) or apply_pinv(self, v))
+        _, _, _, calls = self._solve(monkeypatch, 3)
+        assert len(calls) == 3
+        assert applies == []
 
 
 class TestWapgForwardProducts:
