@@ -244,8 +244,9 @@ def _newton_jacobian(ubar: np.ndarray, gram: np.ndarray, on: np.ndarray) -> np.n
 class NewtonState:
     """Newton state of the proximal maps in the metric I + Ubar Ubar'.
 
-    A state belongs to one Ubar and holds ``gram`` = Ubar'Ubar
-    (pass ``Preconditioner.gram`` or let it be computed once), ``gamma``,
+    A state belongs to one Ubar, the caller's array itself when it is
+    float64 (asarray with a dtype would copy an unpickled one), and holds
+    ``gram`` = Ubar'Ubar, computed here once, ``gamma``,
     the root of the last map, from which the next :func:`wpm_structured`
     call starts, and a Jacobian memo: the last slope and its Jacobian.
     ``gamma`` is kept unshifted, as the root for the point the map was
@@ -261,9 +262,10 @@ class NewtonState:
     one each.
     """
 
-    def __init__(self, ubar: np.ndarray, gram: np.ndarray | None = None):
-        self.ubar = np.asarray(ubar, dtype=np.float64)
-        self.gram = self.ubar.T @ self.ubar if gram is None else gram
+    def __init__(self, ubar: np.ndarray):
+        ubar = np.asarray(ubar)
+        self.ubar = ubar if ubar.dtype == np.float64 else ubar.astype(np.float64)
+        self.gram = self.ubar.T @ self.ubar
         self.gamma = np.zeros(self.ubar.shape[1])
         self._slope: np.ndarray | None = None
         self._jac: np.ndarray | None = None
@@ -298,16 +300,15 @@ def _newton_step(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
 
 
 def _newton_residual(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
-                     gamma: np.ndarray, c: np.ndarray | None):
-    """(x - Ubar gamma, its prox u, the residual Ubar'(x - u) + gamma [+ c],
+                     gamma: np.ndarray, c: np.ndarray):
+    """(x - Ubar gamma, its prox u, the residual Ubar'(x - u) + gamma + c,
     the residual's norm) of :func:`wpm_structured`'s root problem."""
     inner = ubar @ gamma
     np.subtract(x, inner, out=inner)
     u = prox_d(inner)
     resid = ubar.T @ (x - u)
     resid += gamma
-    if c is not None:
-        resid += c
+    resid += c
     return inner, u, resid, math.sqrt(resid @ resid)
 
 
@@ -319,7 +320,7 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
 
     Solves the r-dimensional root problem
         Ubar'(x - prox_d(x - Ubar gamma)) + gamma + c = 0,
-    c = (I + Ubar'Ubar) shift (c = 0 without a shift), by semismooth Newton
+    c = (I + Ubar'Ubar) shift (a missing shift is zero), by semismooth Newton
     with the generalized Jacobian I + Ubar' diag(slope) Ubar, falling back
     to damped fixed-point steps of length 1 / (1 + lambda_max(Ubar'Ubar))
     whenever a Newton candidate fails to shrink the residual; that step
@@ -333,7 +334,8 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
     not given: Newton starts from its gamma, takes its Jacobians from its
     memo, and stores the root it finds, unshifted, so a solver that passes
     one state to every call starts each map from the last root.  A state of
-    another Ubar raises ValueError.  Returns (prox value, unshifted gamma).
+    another Ubar raises ValueError.  A Ubar with no columns gives prox_d(x).
+    Returns (prox value, unshifted gamma).
     """
     x = np.asarray(x, dtype=np.float64)
     if ubar.ndim != 2 or ubar.shape[1] == 0:
@@ -344,16 +346,15 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
     elif newton.ubar is not ubar:
         raise ValueError("the Newton state belongs to another Ubar")
     if shift is None:
-        gamma, c = newton.gamma, None
-    else:
-        gamma = newton.gamma - shift
-        c = newton.gram @ shift
-        c += shift
+        shift = np.zeros(ubar.shape[1])
+    gamma = newton.gamma - shift
+    c = newton.gram @ shift
+    c += shift
     lip = None
     inner, u, resid, res_norm = _newton_residual(prox_d, x, ubar, gamma, c)
     for _ in range(max_iter):
         if res_norm <= tol:
-            newton.gamma = gamma if shift is None else gamma + shift
+            newton.gamma = gamma + shift
             return u, newton.gamma
         jac = newton.jacobian(prox_d.slope(inner))
         candidate = gamma - _newton_step(jac, resid)
@@ -391,26 +392,25 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     pass Q back as ``q0`` to warm-start the next call.  The loop overwrites
     the arrays that ``L`` returns.
 
-    The primal point of a dual point Q is the box projection of
-    s - P^-1 h, h = lam_bar L'(W Q).  With a preconditioner
-    P^-1 h = h - Ubar diag(1/d) Ubar' h, so that projection is a
-    :func:`wpm_structured` call on s - h with ``shift`` (Ubar'h)/d: one
-    pass over Ubar in place of P^-1's two over U.  Each call runs to
-    tolerance ``P_PROX_TOL`` and shares ``newton``, the
-    :class:`NewtonState` of ``pre.Ubar``: it starts its Newton iteration
-    from the previous projection's gamma and takes its Jacobians from the
-    memo as rank updates of the previous one, each solved by Cholesky.  A
-    solver passes one state to all its calls, so both carry across outer
-    iterations; without one, this call makes a fresh state from
-    ``pre.gram`` and its first projection starts from zero.
+    In P = I + Ubar Ubar', Ubar is ``pre.Ubar``, or has no columns without ``pre``.
+    The primal point of a dual point Q is the box projection of s - P^-1 h,
+    h = lam_bar L'(W Q), P^-1 h = h - Ubar diag(1/d) Ubar' h: a
+    :func:`wpm_structured` call on s - h with ``shift`` (Ubar'h)/d, a plain
+    box projection when Ubar has no columns.  The gap check takes
+    ||v||_P^2 = ||v||^2 + ||Ubar'v||^2.  Each projection runs to
+    ``P_PROX_TOL`` and shares ``newton``, the :class:`NewtonState` of this
+    Ubar: it starts from the previous projection's gamma and takes its
+    Jacobians from the memo.  A solver passes one state to all its calls,
+    so both carry across outer iterations; without one, this call makes a
+    fresh state and its first projection starts from zero.
     """
     s = np.asarray(s, dtype=np.float64)
     if lam_bar < 0:
         raise ValueError("lam_bar must be nonnegative")
-    if pre is not None:
-        box_prox = BoxProx(box)
-        if newton is None:
-            newton = NewtonState(pre.Ubar, gram=pre.gram)
+    ubar, d = (pre.Ubar, pre.d) if pre is not None else (np.zeros((s.size, 0)), np.zeros(0))
+    box_prox = BoxProx(box)
+    if newton is None:
+        newton = NewtonState(ubar)
     comp_w = structure.range_weights
     if np.all(comp_w == 1.0):
         comp_w = None  # every weight is 1: nothing to multiply
@@ -418,11 +418,9 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     def recover(dual):
         h = L.adjoint(dual if comp_w is None else comp_w * dual)
         h *= lam_bar
-        if pre is None:
-            return box.project(np.subtract(s, h, out=h))
-        shift = pre.Ubar.T @ h
-        shift /= pre.d
-        return wpm_structured(box_prox, np.subtract(s, h, out=h), pre.Ubar,
+        shift = ubar.T @ h
+        shift /= d
+        return wpm_structured(box_prox, np.subtract(s, h, out=h), ubar,
                               tol=P_PROX_TOL, newton=newton, shift=shift)[0]
 
     if lam_bar == 0.0:  # a zero dual point recovers the P-metric projection of s
@@ -439,7 +437,8 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
         norm = mixed_norm_value(lx, phi, structure)
         gap = lam_bar * (norm - group_pairing(dual, lx, structure))
         diff = x_dual - s
-        quad = 0.5 * float(np.dot(diff, pre.apply_P(diff) if pre is not None else diff))
+        along = ubar.T @ diff
+        quad = 0.5 * (float(diff @ diff) + float(along @ along))
         primal = quad + lam_bar * norm
         return gap <= 10.0 * inner_tol * (1.0 + abs(primal))
 

@@ -10,12 +10,10 @@ with tail value t = s_K, the smallest sketched eigenvalue (Frangella,
 Tropp & Udell, SIMAX 2023).  The scaled eigenvalues d = (S_hat + mu) /
 (s_K + mu) are therefore nonincreasing, all >= 1, and exactly 1 at the
 tail, so the P-metric is I + Ubar Ubar' with Ubar = U diag(sqrt(d - 1)),
-and P^-1 = I - Ubar diag(1/d) Ubar'.  WAPG's separable step and its dual
-ascent apply P^-1 in that form, as a shift of the Newton variable of a
-P-metric proximal map (``prox.wpm_structured``): one pass over Ubar in
-place of two over U.
-P, P^-1 and P^-1/2 share the rank-structured form I + U diag(c) U' and
-apply in O(N K).
+and P^-1 = I - Ubar diag(1/d) Ubar'.  WAPG uses the metric only in that
+form, through ``prox.NewtonState`` (which computes Ubar'Ubar); IRM's PCG
+applies P^-1 and WAPG's step size P^-1/2.  P, P^-1 and P^-1/2 share the
+rank-structured form I + U diag(c) U' and apply in O(N K).
 
 The sketch follows the stabilized Nystrom method (Tropp, Yurtsever, Udell
 & Cevher, SIMAX 2017): one shift sized by the sketch, one Cholesky of the
@@ -148,12 +146,6 @@ class Preconditioner:
         # Fortran order: with a C-ordered Ubar the products over it sum in
         # another order, which moved seeded CT WAPG images by up to 7e-15
         return np.asfortranarray(self.factor.U * np.sqrt(self.d - 1.0))
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """Ubar'Ubar, computed on first use and then shared by every weighted
-        proximal map in this metric (IRM never asks for it)."""
-        return self.Ubar.T @ self.Ubar
 
     def _structured(self, coef: np.ndarray, v: np.ndarray) -> np.ndarray:
         """v + U diag(coef) U' v for a vector v, or for each column of a block."""

@@ -358,7 +358,10 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
     started across outer iterations; so is the Newton state of the P-metric
     proxes (one ``NewtonState`` per solve), which are the box projections
     of that dual loop or, in the separable mode, the soft thresholds
-    themselves.  Returns the solution in the image domain.
+    themselves.  The metric is I + Ubar Ubar', Ubar ``pre.Ubar`` or no
+    columns when ``pre`` is None, so the step u - alpha P^-1 g is
+    (u - alpha g) + Ubar w, w = alpha (Ubar'g)/d; the soft threshold takes
+    w as its shift.  Returns the solution in the image domain.
 
     An iteration applies the forward map twice, both for the gradient at
     the momentum point u.  The trace cost of iterate k needs ``A img(x_k)``;
@@ -386,8 +389,8 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
     u = x.copy()
     t_prev = 1.0
     q_dual = None
-    ubar = pre.Ubar if pre is not None else np.zeros((n, 0))
-    newton = NewtonState(ubar, gram=pre.gram if pre is not None else None)
+    ubar, d = (pre.Ubar, pre.d) if pre is not None else (np.zeros((n, 0)), np.zeros(0))
+    newton = NewtonState(ubar)
     trace = SolverTrace()
     a_img = np.zeros(fwd.range_dim)  # A img(x_0)
     beta = 0.0
@@ -400,14 +403,15 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
             a_img = (fu + beta * a_img) / (1.0 + beta)
             trace.append(cost=wapg_cost(problem, cfg, x, a_img), **row)
         grad = fwd.adjoint(fu - y)
+        # u - alpha P^-1 grad = (u - alpha grad) + Ubar shift
+        shift = alpha * (ubar.T @ grad) / d
         if separable:
-            # u - alpha P^-1 grad = (u - alpha grad) + Ubar shift
-            shift = None if pre is None else alpha * (ubar.T @ grad) / pre.d
             x_next, _ = wpm_structured(SoftThresholdProx(tau), u - alpha * grad, ubar,
                                        tol=P_PROX_TOL, newton=newton, shift=shift)
             inner = 0
         else:
-            s = u - alpha * (pre.apply_Pinv(grad) if pre is not None else grad)
+            s = u - alpha * grad
+            s += ubar @ shift
             x_next, q_dual, inner = wpm_mixed_dual(
                 s, tau, problem.L, problem.structure, cfg.phi, pre, cfg.box,
                 inner_tol=cfg.inner_tol, inner_max=cfg.inner_max, q0=q_dual,

@@ -1,13 +1,14 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-every exported name and every dataclass field has a reader outside the
-tests, and every module of the package and of the tests reads what it
-imports."""
+every exported name, every dataclass field and every public method has a
+reader outside the tests, and every module of the package and of the
+tests reads what it imports."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,10 @@ TEST_ORACLES = {"identity_operator", "to_dense", "compare_inner_iterations", "or
 # Dataclass fields read by the tests alone: a Krylov diagnostic to be surfaced
 # in traces, and the result of an acceptance oracle.
 TEST_ONLY_FIELDS = {"KrylovReport.final_relres", "InnerIterationComparison.median_reduction"}
+# Public methods read by the tests alone, each with its reason.
+TEST_ONLY_METHODS = {
+    "Preconditioner.apply_P": "the P-metric reference tests compare against",
+}
 # Imports their module never reads, each with its reason.
 UNREAD_IMPORTS = {
     "solvers.cg": "bench/spans.py wraps rnp.solvers.cg by name",
@@ -85,6 +90,22 @@ def test_every_dataclass_field_has_a_reader_outside_the_tests():
                  for f in dataclasses.fields(cls) if f.name not in read}
     assert sorted(test_only - TEST_ONLY_FIELDS) == []
     assert sorted(TEST_ONLY_FIELDS - test_only) == []  # no stale entries in the list
+
+
+def test_every_public_method_has_a_reader_outside_the_tests():
+    classes = {cls for name in MODULES
+               for _, cls in inspect.getmembers(importlib.import_module(f"rnp.{name}"),
+                                                inspect.isclass)
+               if cls.__module__.startswith("rnp.")}
+    assert classes
+    read = _referenced_names()
+    methods = {f"{cls.__name__}.{attr}" for cls in classes
+               for attr, member in vars(cls).items()
+               if not attr.startswith("_") and attr not in read
+               and (inspect.isfunction(member) or isinstance(
+                   member, (property, cached_property, classmethod, staticmethod)))}
+    assert sorted(methods - TEST_ONLY_METHODS.keys()) == []
+    assert sorted(TEST_ONLY_METHODS.keys() - methods) == []  # no stale entries in the list
 
 
 def _unread_imports(path: Path) -> set[str]:

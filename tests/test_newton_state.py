@@ -1,6 +1,7 @@
 """The Newton state of the P-metric box prox: Jacobian memo, per-solve
 state in WAPG, and the Cholesky step."""
 
+import pickle
 import sys
 import threading
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from rnp import prox
 from rnp.core import Rng, standard_normal_matrix
 from rnp.problems import make_ct
-from rnp.prox import BoxConstraint, NewtonState, _newton_jacobian, _newton_step
+from rnp.prox import (BoxConstraint, BoxProx, NewtonState, _newton_jacobian, _newton_step,
+                      wpm_structured)
 from rnp.solvers import WapgConfig, build_wapg_preconditioner, wapg_solve
 
 
@@ -54,6 +56,24 @@ class TestJacobianMemo:
         many[:9] ^= True  # 9 > n/8 rows changed: rebuild
         state.jacobian(many)
         assert len(builds) == 2
+
+
+class TestNewtonStateUbar:
+    def test_keeps_an_unpickled_float64_ubar(self):
+        # an unpickled array's dtype is float64 but not numpy's own dtype
+        # object, which asarray with a dtype answers with a copy
+        ubar = pickle.loads(pickle.dumps(standard_normal_matrix(40, 3, Rng(70))))
+        state = NewtonState(ubar)
+        assert state.ubar is ubar
+        x = 2.0 * Rng(71).normal(40)
+        _, gamma = wpm_structured(BoxProx(BoxConstraint(0.0, 1.0)), x, ubar, newton=state)
+        assert state.gamma is gamma
+
+    def test_converts_other_dtypes(self):
+        ubar = standard_normal_matrix(20, 2, Rng(72)).astype(np.float32)
+        state = NewtonState(ubar)
+        assert state.ubar.dtype == np.float64
+        assert np.array_equal(state.gram, state.ubar.T @ state.ubar)
 
 
 def _tv_solve():

@@ -296,16 +296,6 @@ class TestWpmFastPath:
         with pytest.raises(ValueError):  # a state of another Ubar
             wpm_structured(box_prox, x_next, ubar, newton=NewtonState(ubar.copy()))
 
-    def test_gram_argument_matches_internal_gram(self):
-        rng = Rng(32)
-        ubar = standard_normal_matrix(30, 3, rng)
-        x = 2.0 * rng.normal(30)
-        for prox_d in (BoxProx(BoxConstraint(0.0, 1.0)), SoftThresholdProx(0.3)):
-            u, gamma = wpm_structured(prox_d, x, ubar, tol=1e-12)
-            u_g, gamma_g = wpm_structured(prox_d, x, ubar, tol=1e-12,
-                                          newton=NewtonState(ubar, gram=ubar.T @ ubar))
-            assert np.array_equal(u, u_g) and np.array_equal(gamma, gamma_g)
-
     def test_warm_start_cuts_newton_steps_in_wapg(self, monkeypatch):
         problem = make_ct(32, 20, "tv", 0.01, Rng(0))
         cfg = WapgConfig(lam=0.05, sketch_size=8, outer_max=10,

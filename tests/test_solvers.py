@@ -19,8 +19,8 @@ from rnp.krylov import pcg
 from rnp.linops import (GroupStructure, LinearOperator, grad_operator, hessian_operator,
                         identity_operator, matrix_operator)
 from rnp.problems import make_ct, make_deblur
-from rnp.prox import (BoxConstraint, weighted_op_norm_sq, wpm_mixed_dual,
-                      wpm_structured)
+from rnp.prox import (BoxConstraint, soft_threshold, weighted_op_norm_sq,
+                      wpm_mixed_dual, wpm_structured)
 from rnp.sketch import Preconditioner, build_preconditioner, default_mu, nystrom_approx
 from rnp.solvers import (L_NORM_STEPS, LIPSCHITZ_STEPS, IrmConfig, WapgConfig,
                          _effective_forward, build_wapg_preconditioner,
@@ -685,6 +685,69 @@ class TestWapgSeparableStep:
         _, _, _, calls = self._solve(monkeypatch, 3)
         assert len(calls) == 3
         assert applies == []
+
+
+class TestWapgDualStep:
+    """The dual mode passes u - alpha P^-1 g to the dual ascent as the point
+    (u - alpha g) + Ubar w, w = alpha (Ubar'g)/d."""
+
+    @staticmethod
+    def _solve(monkeypatch, outer):
+        import rnp.solvers as solvers
+        points = []
+
+        def recording(s, *args, **kwargs):
+            result = wpm_mixed_dual(s, *args, **kwargs)
+            points.append((s, result[0]))
+            return result
+
+        monkeypatch.setattr(solvers, "wpm_mixed_dual", recording)
+        prob = make_ct(32, 20, "tv", 0.01, Rng(44))
+        cfg = WapgConfig(lam=0.02, sketch_size=8, outer_max=outer, alpha=2e-3,
+                         box=BoxConstraint(0.0, 1.0))
+        rng = Rng(45)
+        pre, _ = build_wapg_preconditioner(prob, cfg, rng.spawn(0))
+        wapg_solve(prob, cfg, pre, rng.spawn(1))
+        return prob, cfg, pre, points
+
+    def test_step_matches_the_explicit_pinv_point(self, monkeypatch):
+        prob, cfg, pre, points = self._solve(monkeypatch, 2)
+        x1 = points[0][1]
+        # u = x_0 = 0, then u = x_1 (the second momentum weight is 0)
+        for (s, _), u in zip(points, (np.zeros(prob.A.domain_dim), x1)):
+            grad = prob.A.adjoint(prob.A.apply(u) - prob.y)
+            explicit = u - cfg.alpha * pre.apply_Pinv(grad)
+            assert np.abs(s - explicit).max() <= 1e-12 * np.abs(explicit).max()
+
+    def test_dual_solve_applies_neither_p_nor_pinv(self, monkeypatch):
+        applies = []
+        for name in ("apply_P", "apply_Pinv"):
+            method = getattr(Preconditioner, name)
+            monkeypatch.setattr(Preconditioner, name,
+                                lambda self, v, m=method: applies.append(m) or m(self, v))
+        _, _, _, points = self._solve(monkeypatch, 3)
+        assert len(points) == 3
+        assert applies == []
+
+
+class TestWapgZeroColumnMetric:
+    def test_separable_solve_matches_textbook_fista_bitwise(self):
+        prob = make_ct(32, 20, "wavelet", 0.01, Rng(46))
+        cfg = WapgConfig(lam=0.02, sketch_size=0, outer_max=15, prox_mode="separable",
+                         alpha=2e-3)
+        img, _ = wapg_solve(prob, cfg, None, Rng(47))
+
+        A, L, y = prob.A, prob.L, prob.y
+        x = np.zeros(L.range_dim)
+        u = x.copy()
+        t_prev = 1.0
+        for _ in range(cfg.outer_max):
+            grad = L.apply(A.adjoint(A.apply(L.adjoint(u)) - y))
+            x_next = soft_threshold(u - cfg.alpha * grad, cfg.alpha * cfg.lam)
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
+            u = x_next + ((t_prev - 1.0) / t_next) * (x_next - x)
+            x, t_prev = x_next, t_next
+        assert np.array_equal(img, L.adjoint(x))
 
 
 class TestWapgForwardProducts:
