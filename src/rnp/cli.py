@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .core import Rng, standard_normal_matrix
+from .core import Rng, rademacher_matrix, standard_normal_matrix
 from .harness import ExperimentSpec, run_experiment, saved_times
 from .linops import matrix_operator
 from .sketch import (build_preconditioner, effective_dimension, nystrom_approx,
@@ -159,6 +159,8 @@ def _run_task(command: str, args) -> int:
     sketch_sizes = args.K if args.K is not None else _default_k(command, args)
     variant = {"deblur": lambda: args.kernel, "sr": lambda: f"x{args.factor}",
                "ct": lambda: args.regularizer}[command]()
+    # the image box [0, 1]; the separable wavelet prox takes none
+    boxed = command == "ct" and args.regularizer != "wavelet"
     spec = ExperimentSpec(
         name=f"{command}_{variant}_n{args.n}",
         task=command,
@@ -171,8 +173,8 @@ def _run_task(command: str, args) -> int:
         outer_max=(args.max_iter if args.max_iter is not None
                    else (WapgConfig if command == "ct" else IrmConfig).outer_max),
         inner_tol=args.tol,
-        box_lo=0.0 if command == "ct" else -math.inf,
-        box_hi=1.0 if command == "ct" else math.inf,
+        box_lo=0.0 if boxed else -math.inf,
+        box_hi=1.0 if boxed else math.inf,
         jobs=args.jobs,
         **{k: v for k, v in vars(args).items() if k in _TASK_FLAGS},
     )
@@ -201,8 +203,8 @@ def _run_diag(args) -> int:
         lam = np.exp(np.linspace(0.0, -6.0, n))
         dense = (basis * lam) @ basis.T
         probe_rng = rng.spawn(100 + trial)
-        factor = nystrom_approx(matrix_operator(dense), k, probe_rng)
-        omega = standard_normal_matrix(n, k, Rng(probe_rng.seed, probe_rng.stream))
+        omega = rademacher_matrix(n, k, probe_rng)
+        factor = nystrom_approx(matrix_operator(dense), k, probe_rng, omega=omega)
         oracle = nystrom_oracle_dense(dense, omega)
         approx = (factor.U * factor.S_hat) @ factor.U.T
         worst = max(worst, np.linalg.norm(approx - oracle) / np.linalg.norm(oracle))

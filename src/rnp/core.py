@@ -17,6 +17,7 @@ __all__ = [
     "Rng",
     "ImageGrid",
     "standard_normal_matrix",
+    "rademacher_matrix",
     "psnr",
 ]
 
@@ -111,6 +112,22 @@ def standard_normal_matrix(n: int, k: int, rng: Rng) -> np.ndarray:
     if n < 1 or k < 1:
         raise ValueError("matrix dimensions must be >= 1")
     return rng.normal(n * k).reshape(k, n).T
+
+
+def rademacher_matrix(n: int, k: int, rng: Rng) -> np.ndarray:
+    """n-by-k matrix of independent signs, each exactly +1 or -1.
+
+    The n*k signs are the low n*k bits of ceil(n*k / 64) raw stream words,
+    least significant bit first, filling the columns in order; a 1 bit gives
+    -1.  The first j columns therefore depend only on the first n*j bits,
+    and the stream advances by exactly that many words.  Like
+    ``standard_normal_matrix``, the result is in Fortran order.
+    """
+    if n < 1 or k < 1:
+        raise ValueError("matrix dimensions must be >= 1")
+    words = rng.raw(-(-n * k // 64)).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), count=n * k, bitorder="little")
+    return (1.0 - 2.0 * bits).reshape(k, n).T
 
 
 def psnr(x: ImageGrid, ref: ImageGrid, peak: float = 1.0) -> float:

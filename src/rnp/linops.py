@@ -12,12 +12,10 @@ Operators are immutable after construction and safe for concurrent use:
 any number of threads may apply one operator at the same time.  Large
 radon operators split each product across the usable cores, running one
 row block on the calling thread and the others on a thread pool shared by
-the whole process.  The same pool (``spare_pool``) also draws the next IRM
-test matrix ahead of time.
-The pool is created on first use and recreated in a child after ``fork``,
-whose copy of the pool has no threads.  No task running on the pool may
-submit to it and wait for the result: with one worker, that task would
-wait on itself.
+the whole process; nothing else runs on that pool.  The pool is created on
+first use and recreated in a child after ``fork``, whose copy of the pool
+has no threads.  No task running on the pool may submit to it and wait for
+the result: with one worker, that task would wait on itself.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ __all__ = [
     "wavelet_operator",
     "radon_operator",
     "apply_on_one_core",
-    "spare_pool",
     "gram_operator",
     "operator_norm_sq",
     "adjoint_defect",
@@ -489,13 +486,6 @@ def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def spare_pool() -> Optional[ThreadPoolExecutor]:
-    """The shared pool when a second core is usable, else None (callers then
-    do the work inline).  A task running on the pool must not submit to it
-    and wait."""
-    return _shared_pool() if _usable_cores() > 1 else None
 
 
 def _shared_pool() -> ThreadPoolExecutor:

@@ -16,9 +16,10 @@ applies P^-1 and WAPG's step size P^-1/2.  P, P^-1 and P^-1/2 share the
 rank-structured form I + U diag(c) U' and apply in O(N K).
 
 The sketch follows the stabilized Nystrom method (Tropp, Yurtsever, Udell
-& Cevher, SIMAX 2017): one shift sized by the sketch, one Cholesky of the
-K x K core, one triangular solve for the N x K factor B, then the spectrum
-of B from the K x K matrix B'B, so no N x K decomposition is needed.
+& Cevher, SIMAX 2017) with a random-sign test matrix drawn on the calling
+thread: one shift sized by the sketch, one Cholesky of the K x K core,
+one triangular solve for the N x K factor B, then the spectrum of B from
+the K x K matrix B'B, so no N x K decomposition is needed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import Rng, standard_normal_matrix
+from .core import Rng, rademacher_matrix
+from .core import standard_normal_matrix  # noqa: F401  (unused; bench/spans.py wraps it)
 from .linops import LinearOperator, columnwise
 
 __all__ = [
@@ -60,15 +62,17 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
                    omega: Optional[np.ndarray] = None) -> NystromFactor:
     """Randomized low-rank factorization of a symmetric PSD operator.
 
-    Draws the Gaussian test matrix ``standard_normal_matrix(N, K, rng)`` up
-    front on the calling thread.  A caller that drew it ahead of time passes
-    it as ``omega``, which must equal that draw; ``rng`` is then left as it is.
-    The matrix and its image are kept in Fortran order, so each column is
-    contiguous for an operator that maps a block column by column.  ``phi``
-    maps the whole block in one ``phi.apply`` call; by the operator
-    contract each column equals the vector apply bit for bit, so the result
-    is bit-identical for a fixed seed whether ``phi`` has a native block
-    product or loops over the columns.  The sketch Y = Phi Omega is shifted
+    Draws the test matrix ``rademacher_matrix(N, K, rng)``, random signs,
+    on the calling thread: Nystrom takes any test matrix (Halko, Martinsson
+    & Tropp, SIREV 2011, sec. 4.6), and signs take an eighth of the time of
+    Gaussians.  A test matrix given as ``omega`` is used as given, and
+    ``rng`` is then left as it is.  The matrix and its image are kept in
+    Fortran order, so each column is contiguous for an operator that maps a
+    block column by column.  ``phi`` maps the whole block in one
+    ``phi.apply`` call; by the operator contract each column equals the
+    vector apply bit for bit, so the result is bit-identical for a fixed
+    seed whether ``phi`` has a native block product or loops over the
+    columns.  The sketch Y = Phi Omega is shifted
     to Y_nu = Y + nu Omega, nu = sqrt(N) * MACHINE_EPS * ||Y||_F (Frangella,
     Tropp & Udell, SIMAX 2023), and the core Omega'Y_nu is factored once; a
     failed Cholesky raises ``LinAlgError``: the operator is not PSD.  A
@@ -92,7 +96,7 @@ def nystrom_approx(phi: LinearOperator, K: int, rng: Rng,
     if not 1 <= K <= n:
         raise ValueError(f"sketch size {K} out of range [1, {n}]")
     if omega is None:
-        omega = standard_normal_matrix(n, K, rng)
+        omega = rademacher_matrix(n, K, rng)
     elif omega.shape != (n, K):
         raise ValueError(f"test matrix is {omega.shape}, expected {(n, K)}")
     # both in Fortran order, whatever layout a caller or phi's block product uses:

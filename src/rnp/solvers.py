@@ -6,16 +6,16 @@ gradient and proximal steps live in the preconditioner metric.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import ImageGrid, Rng, psnr, standard_normal_matrix
+from .core import ImageGrid, Rng, psnr
 from .krylov import cg, pcg  # noqa: F401  (unused; bench/spans.py wraps rnp.solvers.cg)
 from .linops import (DiagonalWeight, GroupStructure, LinearOperator, compose,
-                     gram_operator, operator_norm_sq, spare_pool, transpose)
+                     gram_operator, operator_norm_sq, transpose)
 from .prox import (P_PROX_TOL, BoxConstraint, NewtonState, SoftThresholdProx,
                    weighted_op_norm_sq, mixed_norm_value, wpm_mixed_dual, wpm_structured)
 from .sketch import Preconditioner, build_preconditioner, default_mu, nystrom_approx
@@ -118,7 +118,7 @@ class WapgConfig:
     sketch_size: int = 20
     alpha: Optional[float] = None  # None: 1 / (1.1 * estimated Lipschitz)
     outer_max: int = 60
-    box: BoxConstraint = BoxConstraint()
+    box: BoxConstraint = BoxConstraint()  # dual mode only; separable mode warns
     prox_mode: str = "dual"  # "dual" (TV/HS) or "separable" (orthogonal L, l1)
     inner_tol: float = 1e-6
     inner_max: int = 200
@@ -211,22 +211,12 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
     """Alternating reweighting with warm-started (P)CG inner solves.
 
     A fresh sketch of the weighted normal operator is drawn every outer
-    iteration (the weights change), seeded from a per-iteration child
-    stream so reruns reproduce the trace exactly.  The sketch is drawn only
-    when PCG will iterate: once the warm start already meets ``inner_tol``
-    the solve returns it unchanged whatever the preconditioner, so that
+    iteration (the weights change), on the calling thread, from the
+    iteration's child stream ``rng.spawn(k)``, so reruns reproduce the
+    trace exactly whatever the core count.  The sketch is drawn only when
+    PCG will iterate: once the warm start already meets ``inner_tol`` the
+    solve returns it unchanged whatever the preconditioner, so that
     iteration records ``sketch_s = 0``.
-
-    The j-th sketch of a solve draws its test matrix from ``rng.spawn(j)``.
-    When a second core is usable (``linops.spare_pool``), sketch j queues
-    sketch j+1's draw on the pool as soon as it has its own matrix, before
-    it applies the operator to it and factors it; sketch 1's matrix is drawn
-    inline meanwhile.  Each draw equals the one made on the spot, so the
-    trace is the same with one core or two.  At most one draw is in flight,
-    and none is left running on return.  An iteration that skips its sketch
-    returns its warm start and so ends the loop, making sketch j that of
-    iteration j, except after a skipped warm-up iteration 1, which does not
-    stop the loop.
 
     The residual A x - y and L x of each new iterate serve both its trace
     cost and the next iteration's reweighting, so each is computed once.
@@ -243,63 +233,45 @@ def irm_solve(problem, cfg: IrmConfig, rng: Rng,
         x = y.copy() if A.domain_dim == A.range_dim else A.adjoint(y)
     else:
         x = np.asarray(x0, dtype=np.float64).copy()
-    n, K = A.domain_dim, min(cfg.sketch_size, A.domain_dim)
-    pool = spare_pool() if K > 0 else None
-    ahead: Optional[Future] = None  # the next sketch's test matrix, being drawn
-    sketches = 0
+    K = min(cfg.sketch_size, A.domain_dim)
     trace = SolverTrace()
     start = time.perf_counter()
     if not warmup:
         res, lx = A.apply(x) - y, L.apply(x)
-    try:
-        for k in range(1, cfg.outer_max + 1):
-            if warmup and k == 1:
-                v, z = np.ones(A.range_dim), np.ones(L.range_dim)
-            else:
-                v, z = update_weights(res, lx, structure, cfg.p, cfg.q,
-                                      default_eps_smooth(cfg.p), default_eps_smooth(cfg.q))
-            wf = DiagonalWeight((2.0 / cfg.p) * v)
-            wg = DiagonalWeight((2.0 / cfg.q) * z)
-            phi = gram_operator(A, wf, L, wg, cfg.lam)
-            rhs = A.adjoint(wf.values * y)
-            sketch_s = 0.0
+    for k in range(1, cfg.outer_max + 1):
+        if warmup and k == 1:
+            v, z = np.ones(A.range_dim), np.ones(L.range_dim)
+        else:
+            v, z = update_weights(res, lx, structure, cfg.p, cfg.q,
+                                  default_eps_smooth(cfg.p), default_eps_smooth(cfg.q))
+        wf = DiagonalWeight((2.0 / cfg.p) * v)
+        wg = DiagonalWeight((2.0 / cfg.q) * z)
+        phi = gram_operator(A, wf, L, wg, cfg.lam)
+        rhs = A.adjoint(wf.values * y)
+        sketch_s = 0.0
 
-            def sketch_pinv():
-                nonlocal sketch_s, ahead, sketches
-                t0 = time.perf_counter()
-                sketches += 1
-                omega, ahead = (ahead.result() if ahead is not None else None), None
-                if pool is not None and k < cfg.outer_max:
-                    # the draw never submits to the pool it runs on
-                    ahead = pool.submit(standard_normal_matrix, n, K, rng.spawn(sketches + 1))
-                factor = nystrom_approx(phi, K, rng.spawn(sketches), omega=omega)
-                sketch_s = time.perf_counter() - t0
-                return build_preconditioner(factor, default_mu(factor)).apply_Pinv
+        def sketch_pinv():
+            nonlocal sketch_s
+            t0 = time.perf_counter()
+            factor = nystrom_approx(phi, K, rng.spawn(k))
+            sketch_s = time.perf_counter() - t0
+            return build_preconditioner(factor, default_mu(factor)).apply_Pinv
 
-            report = pcg(phi, rhs, None, tol=cfg.inner_tol, maxiter=cfg.inner_max, x0=x,
-                         build_pinv=sketch_pinv if K > 0 else None)
-            x_new = report.solution
-            res, lx = A.apply(x_new) - y, L.apply(x_new)
-            cost = irm_cost(res, lx, v, z, structure, cfg.lam, cfg.p, cfg.q)
-            if not np.isfinite(cost):
-                raise FloatingPointError(f"non-finite cost at outer iteration {k}")
-            trace.append(iter=k, elapsed_s=time.perf_counter() - start, cost=cost,
-                         psnr=_problem_psnr(problem, x_new), inner_iters=report.iterations,
-                         sketch_s=sketch_s)
-            rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x_new), 1e-300)
-            x = x_new
-            if rel < cfg.outer_tol and not (warmup and k == 1):
-                break
-    finally:
-        if ahead is not None:
-            _settle(ahead)
+        report = pcg(phi, rhs, None, tol=cfg.inner_tol, maxiter=cfg.inner_max, x0=x,
+                     build_pinv=sketch_pinv if K > 0 else None)
+        x_new = report.solution
+        res, lx = A.apply(x_new) - y, L.apply(x_new)
+        cost = irm_cost(res, lx, v, z, structure, cfg.lam, cfg.p, cfg.q)
+        if not np.isfinite(cost):
+            raise FloatingPointError(f"non-finite cost at outer iteration {k}")
+        trace.append(iter=k, elapsed_s=time.perf_counter() - start, cost=cost,
+                     psnr=_problem_psnr(problem, x_new), inner_iters=report.iterations,
+                     sketch_s=sketch_s)
+        rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x_new), 1e-300)
+        x = x_new
+        if rel < cfg.outer_tol and not (warmup and k == 1):
+            break
     return x, trace
-
-
-def _settle(draw: Future) -> None:
-    """Cancel a draw nobody will use, or wait for it if it has started."""
-    if not draw.cancel():
-        draw.result()
 
 
 def _problem_psnr(problem, x: np.ndarray) -> float:
@@ -361,7 +333,8 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
     themselves.  The metric is I + Ubar Ubar', Ubar ``pre.Ubar`` or no
     columns when ``pre`` is None, so the step u - alpha P^-1 g is
     (u - alpha g) + Ubar w, w = alpha (Ubar'g)/d; the soft threshold takes
-    w as its shift.  Returns the solution in the image domain.
+    w as its shift.  The separable mode has no box: a bounded ``cfg.box``
+    draws a warning and is ignored.  Returns the solution in the image domain.
 
     An iteration applies the forward map twice, both for the gradient at
     the momentum point u.  The trace cost of iterate k needs ``A img(x_k)``;
@@ -380,6 +353,10 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
         lip = estimate_lipschitz_pnorm(fwd, pre, LIPSCHITZ_STEPS, rng.spawn(0))
         alpha = 1.0 / (1.1 * lip)
     separable = cfg.prox_mode == "separable"
+    if separable and cfg.box != BoxConstraint():
+        # a box on the image is no box on its transform coefficients
+        warnings.warn(f"separable WAPG ignores the box [{cfg.box.lo}, {cfg.box.hi}]",
+                      stacklevel=2)
     l_norm_sq = None
     if not separable:
         l_norm_sq = 1.05 * weighted_op_norm_sq(problem.L, problem.structure,

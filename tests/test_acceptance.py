@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from rnp.core import ImageGrid, Rng, standard_normal_matrix
+from rnp.core import ImageGrid, Rng, rademacher_matrix, standard_normal_matrix
 from rnp.harness import (ExperimentSpec, compare_inner_iterations,
                          run_experiment)
 from rnp.krylov import cg, pcg
@@ -46,7 +46,7 @@ def test_criterion_1_nystrom_oracle_equivalence():
         phi = random_psd(40, np.exp(np.linspace(0.0, -4.0, 40)), seed)
         rng = Rng(1000 + seed)
         factor = nystrom_approx(matrix_operator(phi), 15, rng)
-        omega = standard_normal_matrix(40, 15, Rng(1000 + seed))
+        omega = rademacher_matrix(40, 15, Rng(1000 + seed))  # the sketch's own Omega
         oracle = nystrom_oracle_dense(phi, omega)
         approx = (factor.U * factor.S_hat) @ factor.U.T
         worst_oracle = max(worst_oracle, np.linalg.norm(approx - oracle)

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,16 @@ class TestExperimentCommands:
         assert code == 0
         exp_dir = tmp_path / "ct_tv_n32"
         assert any(p.name.startswith("wapg_K8") for p in exp_dir.glob("*.csv"))
+
+    @pytest.mark.parametrize("reg, box", [("tv", (0.0, 1.0)), ("hs", (0.0, 1.0)),
+                                          ("wavelet", (-math.inf, math.inf))])
+    def test_ct_boxes_the_image_except_for_the_separable_wavelet_prox(self, tmp_path,
+                                                                     monkeypatch, reg, box):
+        import rnp.cli as cli
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+        assert main(["ct", "--reg", reg, "--out", str(tmp_path)]) == 0
+        assert [(spec.box_lo, spec.box_hi) for spec in specs] == [box]
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RNP_OUT_DIR", str(tmp_path / "envout"))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rnp.core import ImageGrid, Rng, psnr, standard_normal_matrix
+from rnp.core import ImageGrid, Rng, psnr, rademacher_matrix, standard_normal_matrix
 
 
 class TestRng:
@@ -57,6 +57,43 @@ class TestRng:
     def test_bad_seed(self):
         with pytest.raises(ValueError):
             Rng(-1)
+
+
+class TestRademacher:
+    def test_exact_signs_in_fortran_order(self):
+        m = rademacher_matrix(37, 5, Rng(3))
+        assert m.shape == (37, 5) and m.dtype == np.float64
+        assert m.flags.f_contiguous
+        assert np.all((m == 1.0) | (m == -1.0))
+
+    def test_deterministic_per_seed_and_stream(self):
+        a = rademacher_matrix(50, 4, Rng(8, stream=2))
+        assert np.array_equal(a, rademacher_matrix(50, 4, Rng(8, stream=2)))
+        assert not np.array_equal(a, rademacher_matrix(50, 4, Rng(8, stream=3)))
+        assert not np.array_equal(a, rademacher_matrix(50, 4, Rng(9, stream=2)))
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (64, 1), (65, 1), (10, 13), (100, 7)])
+    def test_advances_the_stream_by_whole_words(self, n, k):
+        drawn, ref = Rng(21), Rng(21)
+        rademacher_matrix(n, k, drawn)
+        ref.raw(-(-n * k // 64))
+        assert np.array_equal(drawn.raw(4), ref.raw(4))
+
+    def test_columns_follow_the_stream_in_order(self):
+        # the first j columns of a wider draw are the narrower draw
+        assert np.array_equal(rademacher_matrix(30, 7, Rng(5))[:, :3],
+                              rademacher_matrix(30, 3, Rng(5)))
+
+    def test_signs_near_balanced(self):
+        m = rademacher_matrix(1000, 100, Rng(1))
+        # 1e5 fair signs: the sum has standard deviation ~316
+        assert abs(m.sum()) <= 1500
+        assert np.abs(m.sum(axis=0)).max() <= 160  # 5 sigma per column of 1000
+
+    @pytest.mark.parametrize("n, k", [(0, 3), (3, 0), (-1, 2)])
+    def test_rejects_empty_dimensions(self, n, k):
+        with pytest.raises(ValueError):
+            rademacher_matrix(n, k, Rng(0))
 
 
 class TestPsnr:

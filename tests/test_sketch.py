@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnp import linops
-from rnp.core import Rng, standard_normal_matrix
+from rnp.core import Rng, rademacher_matrix, standard_normal_matrix
 from rnp.linops import (DiagonalWeight, LinearOperator, columnwise, compose,
                         gram_operator, matrix_operator, radon_operator, transpose)
 from rnp.problems import make_ct, make_deblur
@@ -41,7 +41,7 @@ class TestNystromApprox:
         phi = random_psd(40, np.exp(np.linspace(0, -4, 40)), seed=6)
         rng = Rng(77)
         factor = nystrom_approx(matrix_operator(phi), 15, rng)
-        omega = standard_normal_matrix(40, 15, Rng(77))  # same stream, same Omega
+        omega = rademacher_matrix(40, 15, Rng(77))  # same stream, same Omega
         oracle = nystrom_oracle_dense(phi, omega)
         err = np.linalg.norm(low_rank_reconstruction(factor) - oracle) / np.linalg.norm(oracle)
         assert err <= 1e-6
@@ -86,7 +86,7 @@ class TestNystromApprox:
         for seed in range(10):
             phi = random_psd(60, np.exp(np.linspace(0.0, -30.0, 60)), seed=200 + seed)
             factor = nystrom_approx(matrix_operator(phi), 30, Rng(seed))
-            oracle = nystrom_oracle_dense(phi, standard_normal_matrix(60, 30, Rng(seed)))
+            oracle = nystrom_oracle_dense(phi, rademacher_matrix(60, 30, Rng(seed)))
             err = np.linalg.norm(low_rank_reconstruction(factor) - oracle) / np.linalg.norm(oracle)
             assert err <= 1e-6
             u = factor.U[:, factor.S_hat > 0]
@@ -154,7 +154,7 @@ class TestNystromApprox:
         a = nystrom_approx(looped, 15, Rng(63))
         b = nystrom_approx(c_block, 15, Rng(63))
         given = nystrom_approx(looped, 15, Rng(63),
-                               omega=np.ascontiguousarray(standard_normal_matrix(40, 15, Rng(63))))
+                               omega=np.ascontiguousarray(rademacher_matrix(40, 15, Rng(63))))
         for f in (b, given):
             assert np.array_equal(f.U, a.U)
             assert np.array_equal(f.S_hat, a.S_hat)
@@ -167,12 +167,12 @@ class TestNystromApprox:
         drawn = nystrom_approx(phi, 20, Rng(62))
         given_rng = Rng(62)
         given = nystrom_approx(phi, 20, given_rng,
-                               omega=standard_normal_matrix(32 * 32, 20, Rng(62)))
+                               omega=rademacher_matrix(32 * 32, 20, Rng(62)))
         assert np.array_equal(given.U, drawn.U)
         assert np.array_equal(given.S_hat, drawn.S_hat)
         assert np.array_equal(given_rng.raw(4), Rng(62).raw(4))  # not drawn from
         with pytest.raises(ValueError):
-            nystrom_approx(phi, 20, Rng(62), omega=standard_normal_matrix(32 * 32, 19, Rng(62)))
+            nystrom_approx(phi, 20, Rng(62), omega=rademacher_matrix(32 * 32, 19, Rng(62)))
 
     def test_non_psd_raises(self):
         bad = matrix_operator(np.diag([1.0, -5.0, 2.0]))
@@ -182,12 +182,12 @@ class TestNystromApprox:
     @pytest.mark.parametrize("orthonormal", [False, True])
     def test_rank_deficient_large_operator_factors_once(self, monkeypatch, orthonormal):
         # a rank-5 operator at scale 1e6: the shift grows with the sketch, so
-        # the one Cholesky succeeds, with a Gaussian test matrix or with the
-        # orthonormal one a subspace-iteration step would pass in
+        # the one Cholesky succeeds, with the sketch's own sign test matrix or
+        # with the orthonormal one a subspace-iteration step would pass in
         eigs = np.zeros(200)
         eigs[:5] = 1e6 * np.linspace(3.0, 1.0, 5)
         phi = random_psd(200, eigs, seed=30)
-        omega = standard_normal_matrix(200, 20, Rng(31))
+        omega = rademacher_matrix(200, 20, Rng(31))
         if orthonormal:
             omega = np.linalg.qr(omega)[0]
         calls = []

@@ -6,8 +6,8 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 from collections import Counter
-from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,41 +185,6 @@ class TestIrmCost:
         assert f == pytest.approx(expected, rel=1e-12)
 
 
-class DeferredFuture(Future):
-    """Starts its task only when its result is asked for."""
-
-    def __init__(self, fn, args):
-        super().__init__()
-        self._task = fn, args
-
-    def result(self, timeout=None):
-        if not self.done() and self.set_running_or_notify_cancel():
-            fn, args = self._task
-            self.set_result(fn(*args))
-        return super().result(timeout)
-
-
-class DeferredPool:
-    """Runs each task at once, except test matrix draws, which wait until
-    their result is asked for; counts the draws not yet done at each submit."""
-
-    def __init__(self):
-        self.submits = 0
-        self.draws = []
-        self.most_in_flight = 0
-
-    def submit(self, fn, *args):
-        self.submits += 1
-        if fn is not standard_normal_matrix:
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-        future = DeferredFuture(fn, args)
-        self.draws.append(future)
-        self.most_in_flight = max(self.most_in_flight, sum(not f.done() for f in self.draws))
-        return future
-
-
 class TestIrmSolve:
     def test_ridge_closed_form(self):
         n = 64
@@ -267,69 +232,33 @@ class TestIrmSolve:
         assert all(r.sketch_s == 0.0 for r in skipped)
         assert all(r.sketch_s > 0.0 for r in iterated)
 
-    def test_traces_equal_with_one_and_two_usable_cores(self, monkeypatch):
-        import rnp.solvers as solvers
+    def test_sketches_draw_on_the_calling_thread_whatever_the_core_count(self, monkeypatch):
+        # a deblur solve has no split radon, so nothing may touch the pool
+        def no_pool():
+            raise AssertionError("the solve used the thread pool")
+
+        monkeypatch.setattr(linops, "_shared_pool", no_pool)
         prob = make_deblur("gauss9", 32, 0.05, Rng(0))
         cfg = IrmConfig(p=1.0, q=1.0, lam=0.05, sketch_size=16)
         runs = []
         for cores in (1, 2):
             monkeypatch.setattr(linops, "_usable_cores", lambda: cores)
-            pool = DeferredPool()
-            monkeypatch.setattr(linops, "_shared_pool", lambda: pool)
-            given, queued = [], []
-
-            def recording(*args, omega=None, **kwargs):
-                given.append(omega is not None)
-                queued.append(len(pool.draws))
-                return nystrom_approx(*args, omega=omega, **kwargs)
-
-            monkeypatch.setattr(solvers, "nystrom_approx", recording)
-            x, trace = irm_solve(prob, cfg, Rng(3))
-            runs.append((x, trace, pool, given, queued))
-        (x1, t1, pool1, given1, _), (x2, t2, pool2, given2, queued2) = runs
+            runs.append(irm_solve(prob, cfg, Rng(3)))
+        (x1, t1), (x2, t2) = runs
+        assert np.count_nonzero(t1.inner_iters) >= 2  # more than one sketch
         assert np.array_equal(x1, x2)
         for attr in ("costs", "psnrs", "inner_iters"):
             assert np.array_equal(getattr(t1, attr), getattr(t2, attr))
-        assert pool1.submits == 0 and not any(given1)
-        assert pool2.submits == len(pool2.draws)  # the pool runs draws only
-        # every sketch after the first uses the draw made during the one before
-        assert given2[0] is False and all(given2[1:]) and len(given2) >= 2
-        assert len(pool2.draws) == len(given2)
-        # sketch j+1's draw is queued before sketch j is built
-        assert queued2 == list(range(1, len(given2) + 1))
-
-    def test_no_draw_left_in_flight(self, monkeypatch):
-        import rnp.solvers as solvers
-        monkeypatch.setattr(linops, "_usable_cores", lambda: 2)
-        pool = DeferredPool()
-        monkeypatch.setattr(linops, "_shared_pool", lambda: pool)
-        prob = make_deblur("gauss9", 32, 0.05, Rng(0))
-        cfg = IrmConfig(p=1.0, q=1.0, lam=0.05, sketch_size=16)
-        irm_solve(prob, cfg, Rng(3))
-        # the draw for the iteration after the last sketch was never started
-        assert len(pool.draws) >= 2 and pool.draws[-1].cancelled()
-        assert all(f.done() for f in pool.draws)
-        assert pool.most_in_flight == 1
-        calls = []
-
-        def failing_cost(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
-                raise RuntimeError("stop")
-            return irm_cost(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "irm_cost", failing_cost)
-        pool.draws.clear()
-        with pytest.raises(RuntimeError):
-            irm_solve(prob, cfg, Rng(3))
-        assert pool.draws and all(f.done() for f in pool.draws)
 
     def test_concurrent_solves_share_the_pool_and_agree(self, monkeypatch):
+        # every radon product of every solve splits across the one pool thread
+        monkeypatch.setattr(linops, "_MIN_BLOCK_NNZ", 10_000)
         monkeypatch.setattr(linops, "_usable_cores", lambda: 2)
         monkeypatch.setattr(linops, "_pool", None)
-        prob = make_deblur("gauss9", 32, 0.05, Rng(0))
+        prob = make_ct(32, 20, "tv", 0.01, Rng(0))
         cfg = IrmConfig(p=1.0, q=1.0, lam=0.05, outer_max=4, sketch_size=8)
         ref_x, ref_trace = irm_solve(prob, cfg, Rng(5))
+        assert linops._pool is not None
         results, errors = [None] * 8, []
 
         def solve(i):
@@ -355,9 +284,9 @@ class TestIrmSolve:
             assert np.array_equal(trace.costs, ref_trace.costs)
 
     def test_split_radon_solve_with_drawn_ahead_matrices_finishes(self, tmp_path):
-        # Radon products and test matrix draws share one pool thread when
-        # two cores are forced; run in a subprocess so that a deadlock fails
-        # the test instead of stalling the suite.
+        # Radon products share one pool thread when two cores are forced, and
+        # every test matrix is drawn on the solving thread; run in a subprocess
+        # so that a deadlock fails the test instead of stalling the suite.
         script = textwrap.dedent("""
             import numpy as np
             from rnp import linops
@@ -372,7 +301,8 @@ class TestIrmSolve:
             x2, t2 = irm_solve(prob, cfg, Rng(1))
             assert linops._pool is not None
             assert np.count_nonzero(t2.inner_iters) >= 2, t2.inner_iters
-            linops._usable_cores = lambda: 1  # the same operator, draws inline
+            linops._usable_cores = lambda: 1
+            prob = make_ct(96, 60, "tv", 0.01, Rng(0))  # the same operator, unsplit
             x1, t1 = irm_solve(prob, cfg, Rng(1))
             assert np.array_equal(x1, x2) and np.array_equal(t1.costs, t2.costs)
             print("done")
@@ -478,7 +408,7 @@ class TestLipschitzEstimate:
             assert top * (1.0 - 1e-3) <= est <= top * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("kind, n, K, steps", [
-        ("wavelet", 128, 0, 7), ("wavelet", 128, 20, 12), ("tv", 64, 0, 7), ("tv", 64, 20, 16)])
+        ("wavelet", 128, 0, 7), ("wavelet", 128, 20, 15), ("tv", 64, 0, 7), ("tv", 64, 20, 12)])
     def test_lipschitz_estimate_stops_early(self, kind, n, K, steps):
         # the benchmark's CT geometries; the cap is LIPSCHITZ_STEPS = 30
         prob = make_ct(n, 60, kind, 0.01, Rng(70))
@@ -587,6 +517,27 @@ class TestWapg:
         on = np.abs(xbar) > 1e-9
         assert np.abs(grad[on] + lam * np.sign(xbar[on])).max() <= 1e-5
         assert np.maximum(np.abs(grad[~on]) - lam, 0.0).max() <= 1e-5
+
+    def test_separable_mode_warns_once_that_it_ignores_a_box(self):
+        prob = make_ct(32, 12, "wavelet", 0.01, Rng(54))
+        cfg = WapgConfig(lam=0.02, sketch_size=0, alpha=2e-3, outer_max=5,
+                         prox_mode="separable")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no box, no warning
+            free, _ = wapg_solve(prob, cfg, None, Rng(55))
+        with pytest.warns(UserWarning, match="ignores the box") as record:
+            boxed, _ = wapg_solve(prob, dataclasses.replace(cfg, box=BoxConstraint(0.0, 1.0)),
+                                  None, Rng(55))
+        assert len(record) == 1
+        assert np.array_equal(boxed, free)  # the box was never applied
+
+    def test_dual_mode_takes_its_box_without_a_warning(self):
+        prob = make_ct(32, 12, "tv", 0.01, Rng(54))
+        cfg = WapgConfig(lam=0.02, sketch_size=0, alpha=2e-3, outer_max=2,
+                         box=BoxConstraint(0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wapg_solve(prob, cfg, None, Rng(55))
 
     @pytest.mark.parametrize("outer", [1, 2, 10])
     def test_trace_is_well_formed(self, outer):
@@ -756,18 +707,21 @@ class TestWapgForwardProducts:
 
     @staticmethod
     def _ct(kind):
+        """The problem, its prox mode and its box: separable mode takes none."""
         prob = make_ct(32, 12, kind, 0.01, Rng(50))
-        return prob, "separable" if kind == "wavelet" else "dual"
+        if kind == "wavelet":
+            return prob, "separable", BoxConstraint()
+        return prob, "dual", BoxConstraint(0.0, 1.0)
 
     @pytest.mark.parametrize("kind", ["tv", "wavelet"])
     def test_two_forward_products_per_iteration(self, kind):
-        prob, mode = self._ct(kind)
+        prob, mode, box = self._ct(kind)
         alpha = 1.0 / (1.1 * estimate_lipschitz_pnorm(prob.A, None, 20, Rng(51)))
         A, calls = counting(prob.A)
         prob = dataclasses.replace(prob, A=A)
         outer = 5
         cfg = WapgConfig(lam=0.02, sketch_size=0, alpha=alpha, outer_max=outer,
-                         prox_mode=mode, box=BoxConstraint(0.0, 1.0))
+                         prox_mode=mode, box=box)
         wapg_solve(prob, cfg, None, Rng(52))
         # the gradient's A and A' per iteration, and A img of the last iterate
         assert calls["apply"] == outer + 1
@@ -778,7 +732,7 @@ class TestWapgForwardProducts:
     def test_trace_costs_match_direct_costs(self, kind, K, monkeypatch):
         import rnp.solvers as solvers
         from rnp.solvers import wapg_cost
-        prob, mode = self._ct(kind)
+        prob, mode, box = self._ct(kind)
         prox = "wpm_structured" if mode == "separable" else "wpm_mixed_dual"
         iterates = []
         original = getattr(solvers, prox)
@@ -791,7 +745,7 @@ class TestWapgForwardProducts:
         monkeypatch.setattr(solvers, prox, recording)
         outer = 8
         cfg = WapgConfig(lam=0.02, sketch_size=K, outer_max=outer,
-                         prox_mode=mode, box=BoxConstraint(0.0, 1.0))
+                         prox_mode=mode, box=box)
         rng = Rng(53)
         pre, _ = build_wapg_preconditioner(prob, cfg, rng.spawn(0))
         _, trace = wapg_solve(prob, cfg, pre, rng.spawn(1))
