@@ -551,8 +551,7 @@ def gram_operator(A: LinearOperator, Wf: DiagonalWeight, L: LinearOperator,
 # Relative move of the top Ritz value between two Lanczos steps at which
 # ``operator_norm_sq`` stops.  At 1e-4 the estimate can stop on a plateau
 # of a clustered top spectrum: 8 of 30 start vectors on a 32 x 32 gradient
-# stopped 1.2e-3 to 5.5e-3 below lambda_max.  At 1e-5 the worst of them is
-# 3.3e-5 below; the ||L|| estimates at n = 64 and 128 then take 41-79 steps.
+# stopped 1.2e-3 to 5.5e-3 below lambda_max.  At 1e-5 the worst is 3.3e-5 below.
 _RITZ_RTOL = 1e-5
 
 

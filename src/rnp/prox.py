@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .core import Rng
-from .linops import GroupStructure, LinearOperator, columnwise, operator_norm_sq
+from .linops import GroupStructure, LinearOperator
 from .sketch import Preconditioner
 
 __all__ = [
@@ -209,14 +208,19 @@ def group_pairing(q: np.ndarray, v: np.ndarray, structure: GroupStructure) -> fl
 
 
 def weighted_op_norm_sq(op: LinearOperator, structure: GroupStructure,
-                        iters: int, rng: Rng) -> float:
-    """Lanczos estimate from below of lambda_max(L' W L), W the group
-    component weights, in at most ``iters`` steps (``operator_norm_sq``)."""
-    sqrt_w = np.sqrt(structure.range_weights)
-    weighted = LinearOperator(op.domain_dim, op.range_dim,
-                              columnwise(lambda x: sqrt_w * op.apply(x), op.range_dim),
-                              columnwise(lambda y: op.adjoint(sqrt_w * y), op.domain_dim))
-    return operator_norm_sq(weighted, iters, rng)
+                        rows: int, cols: int) -> float:
+    """lambda_max(L' W L), W the group component weights, of a periodic stencil
+    L on a rows x cols image: the top of its symbol sum_m w_m |fft2(h_m)|^2, h_m
+    component m of the response to an impulse at pixel (0, 0) on the (cols, rows)
+    grid.  Two applies of L; ValueError when an impulse at pixel (1, 1) does not
+    give h rolled by one pixel on both axes, i.e. L is no periodic stencil."""
+    impulses = np.zeros((2, rows * cols))
+    impulses[0, 0] = impulses[1, (1 % cols) * rows + 1 % rows] = 1.0
+    response, shifted = (op.apply(e).reshape(cols, rows, -1) for e in impulses)
+    if not np.array_equal(shifted, np.roll(response, (1, 1), axis=(0, 1))):
+        raise ValueError("L is not a periodic stencil, so its norm has no Fourier symbol")
+    power = np.abs(np.fft.fft2(response, axes=(0, 1))) ** 2
+    return float((power @ structure.component_weights).max())
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +380,9 @@ P_PROX_TOL = 1e-11
 
 def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
                    structure: GroupStructure, phi,
-                   pre: Preconditioner | None, box: BoxConstraint,
+                   pre: Preconditioner | None, box: BoxConstraint, l_norm_sq: float,
                    inner_tol: float = 1e-6, inner_max: int = 200,
                    q0: np.ndarray | None = None,
-                   l_norm_sq: float | None = None,
                    newton: NewtonState | None = None) -> tuple[np.ndarray, np.ndarray, int]:
     """Mixed-norm weighted proximal map via accelerated ascent on its dual.
 
@@ -390,7 +393,8 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     falls below inner_tol and the duality gap certifies the result within
     10*inner_tol*(1+|primal|), or at inner_max.  Returns (x, Q, iterations);
     pass Q back as ``q0`` to warm-start the next call.  The loop overwrites
-    the arrays that ``L`` returns.
+    the arrays that ``L`` returns.  The dual step is 1 / (2 lam_bar^2 l_norm_sq),
+    ``l_norm_sq`` = lambda_max(L' W L) (:func:`weighted_op_norm_sq`).
 
     In P = I + Ubar Ubar', Ubar is ``pre.Ubar``, or has no columns without ``pre``.
     The primal point of a dual point Q is the box projection of s - P^-1 h,
@@ -427,8 +431,6 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
         q = np.zeros(L.range_dim)
         return recover(q), q, 0
 
-    if l_norm_sq is None:
-        l_norm_sq = 1.05 * weighted_op_norm_sq(L, structure, 100, Rng(0x5EED))
     # P^-1 <= I, since d >= 1, so the identity metric's dual step is safe
     step = 1.0 / (2.0 * lam_bar * lam_bar * l_norm_sq)
 

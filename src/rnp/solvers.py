@@ -290,10 +290,8 @@ def estimate_lipschitz_pnorm(A: LinearOperator, pre: Optional[Preconditioner],
     return operator_norm_sq(A, iters, rng)
 
 
-# Caps on the Lanczos steps of WAPG's two norm estimates; both usually stop
-# well before (see ``linops.operator_norm_sq``).
+# Cap on the Lanczos steps of WAPG's Lipschitz estimate, which stops earlier.
 LIPSCHITZ_STEPS = 30
-L_NORM_STEPS = 100
 
 
 def _effective_forward(problem, cfg: WapgConfig) -> LinearOperator:
@@ -334,7 +332,9 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
     columns when ``pre`` is None, so the step u - alpha P^-1 g is
     (u - alpha g) + Ubar w, w = alpha (Ubar'g)/d; the soft threshold takes
     w as its shift.  The separable mode has no box: a bounded ``cfg.box``
-    draws a warning and is ignored.  Returns the solution in the image domain.
+    draws a warning and is ignored.  The dual mode's ||L||^2 comes from L's
+    Fourier symbol, so an L that is no periodic stencil raises ValueError
+    before the clock starts.  Returns the solution in the image domain.
 
     An iteration applies the forward map twice, both for the gradient at
     the momentum point u.  The trace cost of iterate k needs ``A img(x_k)``;
@@ -347,20 +347,19 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
     fwd = _effective_forward(problem, cfg)
     y = problem.y
     n = fwd.domain_dim
+    separable = cfg.prox_mode == "separable"
+    if not separable:
+        gt = problem.ground_truth
+        l_norm_sq = weighted_op_norm_sq(problem.L, problem.structure, gt.rows, gt.cols)
+    elif cfg.box != BoxConstraint():
+        # a box on the image is no box on its transform coefficients
+        warnings.warn(f"separable WAPG ignores the box [{cfg.box.lo}, {cfg.box.hi}]",
+                      stacklevel=2)
     if cfg.alpha is not None:
         alpha = cfg.alpha
     else:
         lip = estimate_lipschitz_pnorm(fwd, pre, LIPSCHITZ_STEPS, rng.spawn(0))
         alpha = 1.0 / (1.1 * lip)
-    separable = cfg.prox_mode == "separable"
-    if separable and cfg.box != BoxConstraint():
-        # a box on the image is no box on its transform coefficients
-        warnings.warn(f"separable WAPG ignores the box [{cfg.box.lo}, {cfg.box.hi}]",
-                      stacklevel=2)
-    l_norm_sq = None
-    if not separable:
-        l_norm_sq = 1.05 * weighted_op_norm_sq(problem.L, problem.structure,
-                                               L_NORM_STEPS, rng.spawn(1))
     tau = alpha * cfg.lam
     x = np.zeros(n)
     u = x.copy()

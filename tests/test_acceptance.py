@@ -151,7 +151,7 @@ def test_criterion_5_mixed_norm_prox_oracles():
                    ((0.3, 0.9), 0.1)):
         s = np.array(s)
         x, _, _ = wpm_mixed_dual(s, lam, diff, gs1, 1, None, BoxConstraint(),
-                                 inner_tol=1e-14, inner_max=1000)
+                                 l_norm_sq=2.0, inner_tol=1e-14, inner_max=1000)
         shrink = min(lam, abs(s[0] - s[1]) / 2.0)
         sign = np.sign(s[0] - s[1])
         expected = np.array([s[0] - sign * shrink, s[1] + sign * shrink])
@@ -164,6 +164,7 @@ def test_criterion_5_mixed_norm_prox_oracles():
     s = Rng(12).normal(n * n) * 0.8 + 0.5
     lam = 0.15
     x, _, _ = wpm_mixed_dual(s, lam, op, gs, 1, None, box,
+                             l_norm_sq=weighted_op_norm_sq(op, gs, n, n),
                              inner_tol=1e-9, inner_max=50000)
     dense_l = to_dense(op)
     step = 1.0 / (2.0 * lam * lam * np.linalg.norm(dense_l, 2) ** 2)
@@ -280,7 +281,7 @@ def test_criterion_8_wapg():
     cfg = WapgConfig(lam=1.0, phi=1, sketch_size=0, outer_max=50, box=box,
                      alpha=alpha, inner_tol=1e-6, inner_max=200)
     x_solver, _ = wapg_solve(prob, cfg, None, Rng(3))
-    lns = 1.05 * weighted_op_norm_sq(prob.L, prob.structure, 100, Rng(3).spawn(1))
+    lns = weighted_op_norm_sq(prob.L, prob.structure, 64, 64)
     x = np.zeros(prob.A.domain_dim)
     u = x.copy()
     t_prev = 1.0

@@ -15,6 +15,7 @@ from rnp.core import Rng
 from rnp.harness import (ExperimentSpec, TRACE_HEADER, build_problem,
                          compare_inner_iterations, run_experiment, saved_time,
                          write_trace_csv)
+from rnp.linops import GroupStructure, wavelet_operator
 from rnp.problems import make_deblur
 from rnp.solvers import SolverTrace
 
@@ -127,6 +128,20 @@ class TestRunExperiment:
             else:
                 assert r.status == "ok"
         assert len(read_rows(Path(tmp_path) / "half" / "summary.csv")) == 9
+
+    def test_dual_wapg_whose_l_is_no_periodic_stencil_is_recorded_as_an_error(
+            self, tmp_path, monkeypatch):
+        def wavelet_regularized(spec, seed):
+            problem = build_problem(spec, seed)
+            return dataclasses.replace(problem, L=wavelet_operator(spec.n, spec.n, 2),
+                                       structure=GroupStructure("scalar", spec.n ** 2, 1))
+
+        monkeypatch.setattr(harness, "build_problem", wavelet_regularized)
+        spec = tiny_spec(tmp_path, name="no_stencil", task="ct", solver="wapg",
+                         regularizer="tv", views=12, sketch_sizes=(0, 8), outer_max=2)
+        results = run_experiment(spec)
+        assert [r.status for r in results] == [
+            "error: L is not a periodic stencil, so its norm has no Fourier symbol"] * 2
 
     def test_lambda_grid_marks_best_psnr(self, tmp_path):
         spec = tiny_spec(tmp_path, name="grid", sketch_sizes=(16,),

@@ -6,7 +6,8 @@ import pytest
 from rnp import prox
 from rnp.core import Rng, standard_normal_matrix
 from rnp.linops import (GroupStructure, LinearOperator, grad_operator,
-                        identity_operator, to_dense)
+                        identity_operator, matrix_operator, to_dense,
+                        wavelet_operator)
 from rnp.problems import make_ct
 from rnp.prox import (BoxConstraint, BoxProx, NewtonState, SeparableProx,
                       SoftThresholdProx, _newton_jacobian, dual_exponent,
@@ -331,7 +332,8 @@ class TestWpmMixedDual:
         gs = GroupStructure("scalar", 4, 1)
         box = BoxConstraint(0.0, 1.0)
         s = np.array([-1.0, 0.5, 2.0, 0.1])
-        x, q, iters = wpm_mixed_dual(s, 0.0, identity_operator(4), gs, 1, None, box)
+        x, q, iters = wpm_mixed_dual(s, 0.0, identity_operator(4), gs, 1, None, box,
+                                     l_norm_sq=1.0)
         assert np.array_equal(x, [0.0, 0.5, 1.0, 0.1])
         assert np.all(q == 0.0) and iters == 0
 
@@ -341,7 +343,7 @@ class TestWpmMixedDual:
         for s, lam in (((3.0, 1.0), 0.5), ((3.0, 1.0), 2.0), ((-1.0, 4.0), 1.2)):
             s = np.array(s)
             x, _, _ = wpm_mixed_dual(s, lam, difference_1d(), gs, 1, None, free,
-                                     inner_tol=1e-14, inner_max=500)
+                                     l_norm_sq=2.0, inner_tol=1e-14, inner_max=500)
             shrink = min(lam, abs(s[0] - s[1]) / 2.0)
             sign = np.sign(s[0] - s[1])
             expected = np.array([s[0] - sign * shrink, s[1] + sign * shrink])
@@ -352,7 +354,7 @@ class TestWpmMixedDual:
         box = BoxConstraint(0.0, 1.0)
         s = 2.0 * Rng(11).normal(12)
         x, _, _ = wpm_mixed_dual(s, 0.7, identity_operator(12), gs, 1, None, box,
-                                 inner_tol=1e-12, inner_max=2000)
+                                 l_norm_sq=1.0, inner_tol=1e-12, inner_max=2000)
         ref = np.clip(soft_threshold(s, 0.7), 0.0, 1.0)
         assert np.abs(x - ref).max() <= 1e-8
 
@@ -364,6 +366,7 @@ class TestWpmMixedDual:
         s = rng.normal(n * n) * 0.8 + 0.5
         lam = 0.15
         x, q, _ = wpm_mixed_dual(s, lam, op, gs, 1, None, box,
+                                 l_norm_sq=weighted_op_norm_sq(op, gs, n, n),
                                  inner_tol=1e-9, inner_max=20000)
         # oracle: plain projected gradient on the dual with a dense matrix
         dense_l = to_dense(op)
@@ -391,6 +394,7 @@ class TestWpmMixedDual:
         factor = NystromFactor(factor_u, np.array([5.0, 3.0, 2.0, 1.0]))
         pre = build_preconditioner(factor, mu=0.5)
         x, q, _ = wpm_mixed_dual(s, lam, op, gs, 1, pre, box,
+                                 l_norm_sq=weighted_op_norm_sq(op, gs, n, n),
                                  inner_tol=inner_tol, inner_max=50000)
         lx = op.apply(x)
         gap = lam * (mixed_norm_value(lx, 1, gs) - group_pairing(q, lx, gs))
@@ -404,26 +408,35 @@ class TestWpmMixedDual:
         box = BoxConstraint(0.0, 1.0)
         s = Rng(14).normal(36) * 0.5 + 0.5
         op2, gs2 = grad_operator(6, 6)
-        x2, _, _ = wpm_mixed_dual(s, 0.1, op2, gs2, 2, None, box)
+        x2, _, _ = wpm_mixed_dual(s, 0.1, op2, gs2, 2, None, box,
+                                  l_norm_sq=weighted_op_norm_sq(op2, gs2, 6, 6))
         assert np.all((x2 >= 0) & (x2 <= 1))
         oph, gsh = hessian_operator(6, 6)
-        xh, _, _ = wpm_mixed_dual(s, 0.05, oph, gsh, 1, None, box)
+        xh, _, _ = wpm_mixed_dual(s, 0.05, oph, gsh, 1, None, box,
+                                  l_norm_sq=weighted_op_norm_sq(oph, gsh, 6, 6))
         assert np.all((xh >= 0) & (xh <= 1))
 
 
 class TestCompositeProx:
     def test_weighted_norm_estimate_accounts_for_group_weights(self):
-        op, gs = grad_operator(6, 6)
-        plain = weighted_op_norm_sq(op, GroupStructure("vector", 36, 2), 100, Rng(15))
-        assert plain == pytest.approx(8.0, rel=0.05)
+        # square, rectangular, even and odd grids; the Hessian's off-diagonal
+        # component has weight 2
         from rnp.linops import hessian_operator
-        oph, gsh = hessian_operator(6, 6)
-        est = weighted_op_norm_sq(oph, gsh, 150, Rng(16))
-        dense = to_dense(oph)
-        w = np.tile(gsh.component_weights, gsh.group_count)
-        top = np.linalg.eigvalsh(dense.T @ (w[:, None] * dense))[-1]
-        assert est == pytest.approx(top, rel=1e-2)
-        assert est <= top + 1e-9
+        for stencil in (grad_operator, hessian_operator):
+            for rows, cols in ((6, 6), (7, 5), (8, 10), (9, 9)):
+                op, gs = stencil(rows, cols)
+                dense = to_dense(op)
+                w = gs.range_weights
+                top = np.linalg.eigvalsh(dense.T @ (w[:, None] * dense))[-1]
+                assert weighted_op_norm_sq(op, gs, rows, cols) == pytest.approx(top, rel=1e-12)
+
+    def test_norm_of_an_operator_that_is_no_periodic_stencil_raises(self):
+        with pytest.raises(ValueError, match="periodic stencil"):
+            weighted_op_norm_sq(wavelet_operator(16, 16, 2), GroupStructure("scalar", 256, 1),
+                                16, 16)
+        mat = np.asarray([Rng(17).normal(36) for _ in range(72)])
+        with pytest.raises(ValueError, match="periodic stencil"):
+            weighted_op_norm_sq(matrix_operator(mat), GroupStructure("vector", 36, 2), 6, 6)
 
 
 class TestDualProxWithPreconditioner:
@@ -440,6 +453,7 @@ class TestDualProxWithPreconditioner:
         lam = 0.1
         inner_tol = 1e-8
         x, q, _ = wpm_mixed_dual(s, lam, op, gs, 1, pre, BoxConstraint(0.0, 1.0),
+                                 l_norm_sq=weighted_op_norm_sq(op, gs, n, n),
                                  inner_tol=inner_tol, inner_max=50000)
         lx = op.apply(x)
         gap = lam * (mixed_norm_value(lx, 1, gs) - group_pairing(q, lx, gs))
@@ -474,7 +488,8 @@ class TestDualProxInNewtonCoordinates:
             return original(prox_d, v, ubar, **kwargs)
 
         monkeypatch.setattr(prox, "wpm_structured", recording)
-        wpm_mixed_dual(s, lam, op, gs, 1, pre, BoxConstraint(0.0, 1.0), q0=q0, inner_max=1)
+        wpm_mixed_dual(s, lam, op, gs, 1, pre, BoxConstraint(0.0, 1.0),
+                       l_norm_sq=weighted_op_norm_sq(op, gs, 8, 8), q0=q0, inner_max=1)
         # the first projection recovers the primal point of q0
         explicit = s - lam * pre.apply_Pinv(op.adjoint(gs.range_weights * q0))
         assert np.abs(points[0] - explicit).max() <= 1e-12 * np.abs(explicit).max()
@@ -485,6 +500,7 @@ class TestDualProxInNewtonCoordinates:
         apply_pinv = Preconditioner.apply_Pinv
         monkeypatch.setattr(Preconditioner, "apply_Pinv",
                             lambda self, v: calls.append(1) or apply_pinv(self, v))
-        _, _, iters = wpm_mixed_dual(s, 0.2, op, gs, 1, pre, BoxConstraint(0.0, 1.0), q0=q0)
+        _, _, iters = wpm_mixed_dual(s, 0.2, op, gs, 1, pre, BoxConstraint(0.0, 1.0),
+                                     l_norm_sq=weighted_op_norm_sq(op, gs, 8, 8), q0=q0)
         assert iters > 1
         assert calls == []

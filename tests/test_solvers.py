@@ -22,7 +22,7 @@ from rnp.problems import make_ct, make_deblur
 from rnp.prox import (BoxConstraint, soft_threshold, weighted_op_norm_sq,
                       wpm_mixed_dual, wpm_structured)
 from rnp.sketch import Preconditioner, build_preconditioner, default_mu, nystrom_approx
-from rnp.solvers import (L_NORM_STEPS, LIPSCHITZ_STEPS, IrmConfig, WapgConfig,
+from rnp.solvers import (LIPSCHITZ_STEPS, IrmConfig, WapgConfig,
                          _effective_forward, build_wapg_preconditioner,
                          default_eps_smooth, estimate_lipschitz_pnorm,
                          half_quadratic_constants, irm_cost, irm_solve,
@@ -420,14 +420,14 @@ class TestLipschitzEstimate:
         estimate_lipschitz_pnorm(fwd, pre, LIPSCHITZ_STEPS, rng.spawn(1))
         assert calls["apply"] == calls["adjoint"] == steps
 
-    @pytest.mark.parametrize("stencil, n, steps", [
-        (grad_operator, 64, 52), (grad_operator, 128, 62), (hessian_operator, 64, 41)])
-    def test_l_norm_estimate_stops_early(self, stencil, n, steps):
-        # the cap is L_NORM_STEPS = 100, the power iteration's former count
+    @pytest.mark.parametrize("stencil, n", [
+        (grad_operator, 64), (grad_operator, 128), (hessian_operator, 64)])
+    def test_l_norm_takes_two_applies(self, stencil, n):
+        # one impulse response for the symbol, one shifted impulse for the check
         op, gs = stencil(n, n)
         counted, calls = counting(op)
-        weighted_op_norm_sq(counted, gs, L_NORM_STEPS, Rng(72))
-        assert calls["apply"] == calls["adjoint"] == steps
+        weighted_op_norm_sq(counted, gs, n, n)
+        assert (calls["apply"], calls["adjoint"]) == (2, 0)
 
     def test_matches_dense_generalized_eigenvalue(self):
         rng = Rng(9)
@@ -464,7 +464,7 @@ class TestWapg:
                          box=box, alpha=alpha, inner_tol=1e-8, inner_max=400)
         x_solver, _ = wapg_solve(prob, cfg, None, Rng(13))
 
-        lns = 1.05 * weighted_op_norm_sq(prob.L, prob.structure, 100, Rng(13).spawn(1))
+        lns = weighted_op_norm_sq(prob.L, prob.structure, n, 1)
         x = np.zeros(n)
         u = x.copy()
         t_prev = 1.0
@@ -538,6 +538,16 @@ class TestWapg:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             wapg_solve(prob, cfg, None, Rng(55))
+
+    def test_dual_mode_raises_before_its_clock_when_l_is_no_periodic_stencil(self):
+        # the wavelet transform does not commute with a one-pixel shift
+        prob = make_ct(32, 12, "wavelet", 0.01, Rng(54))
+        counted, calls = counting(prob.A)
+        prob = dataclasses.replace(prob, A=counted)
+        cfg = WapgConfig(lam=0.02, sketch_size=0, outer_max=2, box=BoxConstraint(0.0, 1.0))
+        with pytest.raises(ValueError, match="periodic stencil"):
+            wapg_solve(prob, cfg, None, Rng(55))
+        assert calls == {}  # neither the Lipschitz estimate nor an iteration ran
 
     @pytest.mark.parametrize("outer", [1, 2, 10])
     def test_trace_is_well_formed(self, outer):
