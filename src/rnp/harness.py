@@ -45,6 +45,10 @@ def saved_time(t_without: float, t_with: float) -> float:
     return (t_without - t_with) / t_without
 
 
+def _lam_label(lam: float) -> str:  # lambda as its run id writes it
+    return f"{lam:g}"
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
@@ -80,6 +84,12 @@ class ExperimentSpec:
             raise ValueError("sketch sizes, lambda grid, and seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if len(set(self.sketch_sizes)) != len(self.sketch_sizes):
+            raise ValueError(f"sketch sizes must be distinct, got {list(self.sketch_sizes)}")
+        labels = [_lam_label(lam) for lam in self.lam_grid]
+        clashes = [lam for lam, label in zip(self.lam_grid, labels) if labels.count(label) > 1]
+        if clashes:
+            raise ValueError(f"lambda values {clashes} share a run id")
         if min(self.sketch_sizes) < 0:
             raise ValueError("sketch sizes must be nonnegative")
         if self.outer_max < 1:
@@ -126,7 +136,7 @@ def _run_seed(spec: ExperimentSpec, seed: int,
 
 def _run_one(spec: ExperimentSpec, lam: float, K: int, seed: int,
              problem: ProblemInstance | Exception) -> RunResult:
-    run_id = f"{spec.solver}_K{K}_lam{lam:g}_seed{seed}"
+    run_id = f"{spec.solver}_K{K}_lam{_lam_label(lam)}_seed{seed}"
     out = Path(spec.out_dir) / spec.name
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{run_id}.csv"

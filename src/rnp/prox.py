@@ -16,7 +16,6 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .linops import GroupStructure, LinearOperator
-from .sketch import Preconditioner
 
 __all__ = [
     "BoxConstraint",
@@ -246,20 +245,20 @@ def _newton_jacobian(ubar: np.ndarray, gram: np.ndarray, on: np.ndarray) -> np.n
 
 
 class NewtonState:
-    """Newton state of the proximal maps in the metric I + Ubar Ubar'.
+    """The metric P = I + Ubar Ubar' of a solve's proximal maps, and their Newton state.
 
-    A state belongs to one Ubar, the caller's array itself when it is
-    float64 (asarray with a dtype would copy an unpickled one), and holds
-    ``gram`` = Ubar'Ubar, computed here once, ``gamma``,
-    the root of the last map, from which the next :func:`wpm_structured`
-    call starts, and a Jacobian memo: the last slope and its Jacobian.
-    ``gamma`` is kept unshifted, as the root for the point the map was
-    taken at: a call with ``shift=w`` starts from gamma - w and stores its
-    root plus w, so warm starts carry across calls whatever their shifts.
-    When at most 1/8 of the rows change slope, the next Jacobian is the
-    last one plus Ubar_c' diag(+-1) Ubar_c over the changed rows c
-    (+1 where a row turns on), a product over a few rows instead of up to
-    half of Ubar; otherwise :func:`_newton_jacobian` rebuilds it.
+    Built from Ubar alone, any N x K array (K = 0 is the identity metric),
+    a state holds ``gram`` = Ubar'Ubar and (I + gram)^-1, computed here
+    once, so that P^-1 v = v - Ubar along(v) by Woodbury; ``gamma``, the
+    root of the last map, from which the next :func:`wpm_structured` call
+    starts; and a Jacobian memo: the last slope and its Jacobian.  ``gamma``
+    is kept unshifted, as the root for the point the map was taken at: a
+    call with ``shift=w`` starts from gamma - w and stores its root plus w,
+    so warm starts carry across calls whatever their shifts.  When at most
+    1/8 of the rows change slope, the next Jacobian is the last one plus
+    Ubar_c' diag(+-1) Ubar_c over the changed rows c (+1 where a row turns
+    on), a product over a few rows instead of up to half of Ubar; otherwise
+    :func:`_newton_jacobian` rebuilds it.
 
     Make one per solve and pass it to each call: a fresh state makes a
     repeated solve bit-identical, and solves that run at the same time need
@@ -267,12 +266,16 @@ class NewtonState:
     """
 
     def __init__(self, ubar: np.ndarray):
-        ubar = np.asarray(ubar)
-        self.ubar = ubar if ubar.dtype == np.float64 else ubar.astype(np.float64)
+        self.ubar = np.asarray(ubar, dtype=np.float64)
         self.gram = self.ubar.T @ self.ubar
+        self._core_inv = np.linalg.inv(np.eye(self.gram.shape[0]) + self.gram)
         self.gamma = np.zeros(self.ubar.shape[1])
         self._slope: np.ndarray | None = None
         self._jac: np.ndarray | None = None
+
+    def along(self, v: np.ndarray) -> np.ndarray:
+        """(I + Ubar'Ubar)^-1 Ubar'v, the move along Ubar in P^-1 v = v - Ubar along(v)."""
+        return self._core_inv @ (self.ubar.T @ v)
 
     def jacobian(self, slope: np.ndarray) -> np.ndarray:
         """I + Ubar' diag(slope) Ubar, as a rank update of the memo when
@@ -316,13 +319,12 @@ def _newton_residual(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
     return inner, u, resid, math.sqrt(resid @ resid)
 
 
-def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
+def wpm_structured(prox_d: SeparableProx, x: np.ndarray, newton: NewtonState,
                    tol: float = 1e-10, max_iter: int = 100,
-                   newton: NewtonState | None = None,
                    shift: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Proximal map in the metric W = I + Ubar Ubar' of x + Ubar shift.
+    """Proximal map of x + Ubar shift in the metric P = I + Ubar Ubar' of ``newton``.
 
-    Solves the r-dimensional root problem
+    Solves the K-dimensional root problem
         Ubar'(x - prox_d(x - Ubar gamma)) + gamma + c = 0,
     c = (I + Ubar'Ubar) shift (a missing shift is zero), by semismooth Newton
     with the generalized Jacobian I + Ubar' diag(slope) Ubar, falling back
@@ -331,24 +333,18 @@ def wpm_structured(prox_d: SeparableProx, x: np.ndarray, ubar: np.ndarray,
     length is computed only once a fallback step happens.  The Jacobian is
     >= I, so each Newton step solves it by Cholesky.  Its root is the
     unshifted map's root for x + Ubar shift minus the shift, so a caller
-    that moves its point along Ubar, as P^-1 = I - Ubar diag(1/d) Ubar'
+    that moves its point along Ubar, as P^-1 v = v - Ubar newton.along(v)
     does, passes the move as ``shift`` and never forms the moved point.
 
-    ``newton`` is the :class:`NewtonState` of this Ubar, made fresh when
-    not given: Newton starts from its gamma, takes its Jacobians from its
+    Newton starts from the state's gamma, takes its Jacobians from its
     memo, and stores the root it finds, unshifted, so a solver that passes
-    one state to every call starts each map from the last root.  A state of
-    another Ubar raises ValueError.  A Ubar with no columns gives prox_d(x).
-    Returns (prox value, unshifted gamma).
+    one state to every call starts each map from the last root.  A Ubar
+    with no columns gives prox_d(x).  Returns (prox value, unshifted gamma).
     """
     x = np.asarray(x, dtype=np.float64)
-    if ubar.ndim != 2 or ubar.shape[1] == 0:
-        return prox_d(x), np.zeros(0)
-    if newton is None:
-        newton = NewtonState(ubar)
-        ubar = newton.ubar
-    elif newton.ubar is not ubar:
-        raise ValueError("the Newton state belongs to another Ubar")
+    ubar = newton.ubar
+    if ubar.shape[1] == 0:
+        return prox_d(x), newton.gamma
     if shift is None:
         shift = np.zeros(ubar.shape[1])
     gamma = newton.gamma - shift
@@ -379,42 +375,37 @@ P_PROX_TOL = 1e-11
 
 
 def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
-                   structure: GroupStructure, phi,
-                   pre: Preconditioner | None, box: BoxConstraint, l_norm_sq: float,
+                   structure: GroupStructure, phi, newton: NewtonState,
+                   box: BoxConstraint, l_norm_sq: float,
                    inner_tol: float = 1e-6, inner_max: int = 200,
-                   q0: np.ndarray | None = None,
-                   newton: NewtonState | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+                   q0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
     """Mixed-norm weighted proximal map via accelerated ascent on its dual.
 
     Computes argmin_{x in box} 0.5*||x - s||_P^2 + lam_bar*||L x||_{1,phi}
-    where P = I when ``pre`` is None.  The dual variable lives on the
-    product of psi-norm unit balls; its gradient needs one box-projection
-    in the P metric per iteration.  Stops once the relative primal change
-    falls below inner_tol and the duality gap certifies the result within
+    in the metric P = I + Ubar Ubar' of ``newton`` (P = I when Ubar has no
+    columns).  The dual variable lives on the product of psi-norm unit
+    balls; its gradient needs one box-projection in the P metric per
+    iteration.  Stops once the relative primal change falls below
+    inner_tol and the duality gap certifies the result within
     10*inner_tol*(1+|primal|), or at inner_max.  Returns (x, Q, iterations);
     pass Q back as ``q0`` to warm-start the next call.  The loop overwrites
     the arrays that ``L`` returns.  The dual step is 1 / (2 lam_bar^2 l_norm_sq),
     ``l_norm_sq`` = lambda_max(L' W L) (:func:`weighted_op_norm_sq`).
 
-    In P = I + Ubar Ubar', Ubar is ``pre.Ubar``, or has no columns without ``pre``.
     The primal point of a dual point Q is the box projection of s - P^-1 h,
-    h = lam_bar L'(W Q), P^-1 h = h - Ubar diag(1/d) Ubar' h: a
-    :func:`wpm_structured` call on s - h with ``shift`` (Ubar'h)/d, a plain
-    box projection when Ubar has no columns.  The gap check takes
+    h = lam_bar L'(W Q), P^-1 h = h - Ubar newton.along(h): a
+    :func:`wpm_structured` call on s - h with ``shift`` newton.along(h), a
+    plain box projection when Ubar has no columns.  The gap check takes
     ||v||_P^2 = ||v||^2 + ||Ubar'v||^2.  Each projection runs to
-    ``P_PROX_TOL`` and shares ``newton``, the :class:`NewtonState` of this
-    Ubar: it starts from the previous projection's gamma and takes its
-    Jacobians from the memo.  A solver passes one state to all its calls,
-    so both carry across outer iterations; without one, this call makes a
-    fresh state and its first projection starts from zero.
+    ``P_PROX_TOL`` and shares ``newton``: it starts from the previous
+    projection's gamma and takes its Jacobians from the memo.  A solver
+    passes one state to all its calls, so both carry across outer
+    iterations.
     """
     s = np.asarray(s, dtype=np.float64)
     if lam_bar < 0:
         raise ValueError("lam_bar must be nonnegative")
-    ubar, d = (pre.Ubar, pre.d) if pre is not None else (np.zeros((s.size, 0)), np.zeros(0))
     box_prox = BoxProx(box)
-    if newton is None:
-        newton = NewtonState(ubar)
     comp_w = structure.range_weights
     if np.all(comp_w == 1.0):
         comp_w = None  # every weight is 1: nothing to multiply
@@ -422,16 +413,15 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
     def recover(dual):
         h = L.adjoint(dual if comp_w is None else comp_w * dual)
         h *= lam_bar
-        shift = ubar.T @ h
-        shift /= d
-        return wpm_structured(box_prox, np.subtract(s, h, out=h), ubar,
-                              tol=P_PROX_TOL, newton=newton, shift=shift)[0]
+        shift = newton.along(h)
+        return wpm_structured(box_prox, np.subtract(s, h, out=h), newton,
+                              tol=P_PROX_TOL, shift=shift)[0]
 
     if lam_bar == 0.0:  # a zero dual point recovers the P-metric projection of s
         q = np.zeros(L.range_dim)
         return recover(q), q, 0
 
-    # P^-1 <= I, since d >= 1, so the identity metric's dual step is safe
+    # P >= I, so P^-1 <= I and the identity metric's dual step is safe
     step = 1.0 / (2.0 * lam_bar * lam_bar * l_norm_sq)
 
     def gap_certified(dual, x_dual):
@@ -439,8 +429,8 @@ def wpm_mixed_dual(s: np.ndarray, lam_bar: float, L: LinearOperator,
         norm = mixed_norm_value(lx, phi, structure)
         gap = lam_bar * (norm - group_pairing(dual, lx, structure))
         diff = x_dual - s
-        along = ubar.T @ diff
-        quad = 0.5 * (float(diff @ diff) + float(along @ along))
+        moved = newton.ubar.T @ diff
+        quad = 0.5 * (float(diff @ diff) + float(moved @ moved))
         primal = quad + lam_bar * norm
         return gap <= 10.0 * inner_tol * (1.0 + abs(primal))
 

@@ -9,11 +9,13 @@ and eigenvalue estimates S_hat; the preconditioner built from them is
 with tail value t = s_K, the smallest sketched eigenvalue (Frangella,
 Tropp & Udell, SIMAX 2023).  The scaled eigenvalues d = (S_hat + mu) /
 (s_K + mu) are therefore nonincreasing, all >= 1, and exactly 1 at the
-tail, so the P-metric is I + Ubar Ubar' with Ubar = U diag(sqrt(d - 1)),
-and P^-1 = I - Ubar diag(1/d) Ubar'.  WAPG uses the metric only in that
-form, through ``prox.NewtonState`` (which computes Ubar'Ubar); IRM's PCG
-applies P^-1 and WAPG's step size P^-1/2.  P, P^-1 and P^-1/2 share the
-rank-structured form I + U diag(c) U' and apply in O(N K).
+tail, so the P-metric is I + Ubar Ubar' with Ubar = U diag(sqrt(d - 1)).
+WAPG uses the metric only in that form: ``prox.NewtonState`` is built
+from Ubar alone and applies P^-1 by Woodbury, P^-1 v = v - Ubar (I +
+Ubar'Ubar)^-1 Ubar'v, which for these orthogonal columns is
+v - Ubar diag(1/d) Ubar'v.  IRM's PCG applies P^-1 and WAPG's step size
+P^-1/2; both share the rank-structured form I + U diag(c) U' and apply in
+O(N K).
 
 The sketch follows the stabilized Nystrom method (Tropp, Yurtsever, Udell
 & Cevher, SIMAX 2017) with a random-sign test matrix drawn on the calling
@@ -137,7 +139,7 @@ def nystrom_oracle_dense(phi: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Rank-structured preconditioner; all powers apply in O(N K)."""
+    """Rank-structured preconditioner; P^-1 and P^-1/2 apply in O(N K)."""
 
     factor: NystromFactor
     # diag of U'(P)U relative to identity: P = I + U diag(d - 1) U'
@@ -155,9 +157,6 @@ class Preconditioner:
         """v + U diag(coef) U' v for a vector v, or for each column of a block."""
         u = self.factor.U
         return columnwise(lambda x: x + u @ (coef * (u.T @ x)), u.shape[0])(v)
-
-    def apply_P(self, v: np.ndarray) -> np.ndarray:
-        return self._structured(self.d - 1.0, v)
 
     def apply_Pinv(self, v: np.ndarray) -> np.ndarray:
         return self._structured(1.0 / self.d - 1.0, v)

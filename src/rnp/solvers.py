@@ -324,17 +324,17 @@ def build_wapg_preconditioner(problem, cfg: WapgConfig,
 def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
                rng: Rng, sketch_seconds: float = 0.0) -> tuple[np.ndarray, SolverTrace]:
     """Accelerated proximal gradient in the metric of ``pre`` (identity when
-    None).  The dual state of the mixed-norm proximal subproblem is warm
-    started across outer iterations; so is the Newton state of the P-metric
-    proxes (one ``NewtonState`` per solve), which are the box projections
-    of that dual loop or, in the separable mode, the soft thresholds
-    themselves.  The metric is I + Ubar Ubar', Ubar ``pre.Ubar`` or no
-    columns when ``pre`` is None, so the step u - alpha P^-1 g is
-    (u - alpha g) + Ubar w, w = alpha (Ubar'g)/d; the soft threshold takes
-    w as its shift.  The separable mode has no box: a bounded ``cfg.box``
-    draws a warning and is ignored.  The dual mode's ||L||^2 comes from L's
-    Fourier symbol, so an L that is no periodic stencil raises ValueError
-    before the clock starts.  Returns the solution in the image domain.
+    None), held by one ``NewtonState`` per solve, built from ``pre.Ubar`` or
+    an N x 0 array; otherwise ``pre`` only enters the step size.  The dual
+    state of the mixed-norm proximal subproblem is warm started across outer
+    iterations; so is the Newton state of the P-metric proxes, which are the
+    box projections of that dual loop or, in the separable mode, the soft
+    thresholds themselves.  The step u - alpha P^-1 g is (u - alpha g) +
+    Ubar w, w = alpha newton.along(g), the soft threshold's shift.  The
+    separable mode has no box: a bounded ``cfg.box`` draws a warning and is
+    ignored.  The dual mode's ||L||^2 comes from L's Fourier symbol, so an L
+    that is no periodic stencil raises ValueError before the clock starts.
+    Returns the solution in the image domain.
 
     An iteration applies the forward map twice, both for the gradient at
     the momentum point u.  The trace cost of iterate k needs ``A img(x_k)``;
@@ -365,8 +365,7 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
     u = x.copy()
     t_prev = 1.0
     q_dual = None
-    ubar, d = (pre.Ubar, pre.d) if pre is not None else (np.zeros((n, 0)), np.zeros(0))
-    newton = NewtonState(ubar)
+    newton = NewtonState(pre.Ubar if pre is not None else np.zeros((n, 0)))
     trace = SolverTrace()
     a_img = np.zeros(fwd.range_dim)  # A img(x_0)
     beta = 0.0
@@ -380,18 +379,18 @@ def wapg_solve(problem, cfg: WapgConfig, pre: Optional[Preconditioner],
             trace.append(cost=wapg_cost(problem, cfg, x, a_img), **row)
         grad = fwd.adjoint(fu - y)
         # u - alpha P^-1 grad = (u - alpha grad) + Ubar shift
-        shift = alpha * (ubar.T @ grad) / d
+        s = u - alpha * grad
+        shift = alpha * newton.along(grad)
         if separable:
-            x_next, _ = wpm_structured(SoftThresholdProx(tau), u - alpha * grad, ubar,
-                                       tol=P_PROX_TOL, newton=newton, shift=shift)
+            x_next, _ = wpm_structured(SoftThresholdProx(tau), s, newton,
+                                       tol=P_PROX_TOL, shift=shift)
             inner = 0
         else:
-            s = u - alpha * grad
-            s += ubar @ shift
+            s += newton.ubar @ shift
             x_next, q_dual, inner = wpm_mixed_dual(
-                s, tau, problem.L, problem.structure, cfg.phi, pre, cfg.box,
+                s, tau, problem.L, problem.structure, cfg.phi, newton, cfg.box,
                 inner_tol=cfg.inner_tol, inner_max=cfg.inner_max, q0=q_dual,
-                l_norm_sq=l_norm_sq, newton=newton)
+                l_norm_sq=l_norm_sq)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
         beta = (t_prev - 1.0) / t_next
         u = x_next + beta * (x_next - x)

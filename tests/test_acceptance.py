@@ -19,8 +19,9 @@ from rnp.linops import (GroupStructure, adjoint_defect, blur_operator,
                         matrix_operator, radon_operator, to_dense,
                         wavelet_operator)
 from rnp.problems import add_salt_pepper, gaussian_kernel, make_ct, make_deblur
-from rnp.prox import (BoxConstraint, BoxProx, dual_exponent, project_group_ball,
-                      weighted_op_norm_sq, wpm_mixed_dual, wpm_structured)
+from rnp.prox import (BoxConstraint, BoxProx, NewtonState, dual_exponent,
+                      project_group_ball, weighted_op_norm_sq, wpm_mixed_dual,
+                      wpm_structured)
 from rnp.sketch import (build_preconditioner, effective_dimension,
                         nystrom_approx, nystrom_oracle_dense,
                         recommended_sketch_size)
@@ -120,7 +121,7 @@ def test_criterion_4_structured_wpm_oracle():
         r = rng.spawn(trial)
         x = 2.0 * r.normal(6)
         ubar = standard_normal_matrix(6, 2, r)
-        u, gamma = wpm_structured(BoxProx(box), x, ubar, tol=1e-12)
+        u, gamma = wpm_structured(BoxProx(box), x, NewtonState(ubar), tol=1e-12)
         w = np.eye(6) + ubar @ ubar.T
         eta = 1.0 / np.linalg.eigvalsh(w).max()
         ref = np.clip(x, 0.0, 1.0)
@@ -150,7 +151,8 @@ def test_criterion_5_mixed_norm_prox_oracles():
     for s, lam in (((3.0, 1.0), 0.5), ((3.0, 1.0), 2.0), ((-1.0, 4.0), 1.2),
                    ((0.3, 0.9), 0.1)):
         s = np.array(s)
-        x, _, _ = wpm_mixed_dual(s, lam, diff, gs1, 1, None, BoxConstraint(),
+        x, _, _ = wpm_mixed_dual(s, lam, diff, gs1, 1, NewtonState(np.zeros((2, 0))),
+                                 BoxConstraint(),
                                  l_norm_sq=2.0, inner_tol=1e-14, inner_max=1000)
         shrink = min(lam, abs(s[0] - s[1]) / 2.0)
         sign = np.sign(s[0] - s[1])
@@ -163,7 +165,7 @@ def test_criterion_5_mixed_norm_prox_oracles():
     box = BoxConstraint(0.0, 1.0)
     s = Rng(12).normal(n * n) * 0.8 + 0.5
     lam = 0.15
-    x, _, _ = wpm_mixed_dual(s, lam, op, gs, 1, None, box,
+    x, _, _ = wpm_mixed_dual(s, lam, op, gs, 1, NewtonState(np.zeros((n * n, 0))), box,
                              l_norm_sq=weighted_op_norm_sq(op, gs, n, n),
                              inner_tol=1e-9, inner_max=50000)
     dense_l = to_dense(op)
@@ -286,11 +288,12 @@ def test_criterion_8_wapg():
     u = x.copy()
     t_prev = 1.0
     q = None
+    identity = NewtonState(np.zeros((x.size, 0)))  # the metric P = I
     for _ in range(50):
         grad = prob.A.adjoint(prob.A.apply(u) - prob.y)
         s = u - alpha * grad
         x_next, q, _ = wpm_mixed_dual(s, alpha * 1.0, prob.L, prob.structure, 1,
-                                      None, box, inner_tol=1e-6, inner_max=200,
+                                      identity, box, inner_tol=1e-6, inner_max=200,
                                       q0=q, l_norm_sq=lns)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
         u = x_next + ((t_prev - 1.0) / t_next) * (x_next - x)
@@ -314,7 +317,8 @@ def test_criterion_8_wapg():
     x_ref_img, trace_ref = wapg_solve(wprob, ref_cfg, pre, rng.spawn(2))
     cost_ref = float(trace_ref.costs.min())
     diff = np.zeros(fwd.domain_dim) - wprob.L.apply(x_ref_img)
-    radius_sq = float(diff @ pre.apply_P(diff))
+    moved = pre.Ubar.T @ diff
+    radius_sq = float(diff @ diff) + float(moved @ moved)  # ||diff||_P^2
     bound_ok = True
     worst_ratio = 0.0
     for k in range(5, 101):

@@ -71,6 +71,9 @@ class TestArgumentHandling:
         (["--max-iter", "-1"], "outer_max"),
         (["--K", "-5"], "sketch sizes"),
         (["--jobs", "0"], "jobs"),
+        # runs that would write one trace file
+        (["--K", "0,0"], "sketch sizes must be distinct"),
+        (["--lambda-grid", "0.05,0.05000001"], "share a run id"),
     ])
     def test_out_of_range_budget_exits_one_before_any_run(self, tmp_path, capsys,
                                                           flags, message):

@@ -23,10 +23,6 @@ TEST_ORACLES = {"identity_operator", "to_dense", "compare_inner_iterations", "or
 # Dataclass fields read by the tests alone: a Krylov diagnostic to be surfaced
 # in traces, and the result of an acceptance oracle.
 TEST_ONLY_FIELDS = {"KrylovReport.final_relres", "InnerIterationComparison.median_reduction"}
-# Public methods read by the tests alone, each with its reason.
-TEST_ONLY_METHODS = {
-    "Preconditioner.apply_P": "the P-metric reference tests compare against",
-}
 # Imports their module never reads, each with its reason.
 UNREAD_IMPORTS = {
     "solvers.cg": "bench/spans.py wraps rnp.solvers.cg by name",
@@ -106,8 +102,7 @@ def test_every_public_method_has_a_reader_outside_the_tests():
                if not attr.startswith("_") and attr not in read
                and (inspect.isfunction(member) or isinstance(
                    member, (property, cached_property, classmethod, staticmethod)))}
-    assert sorted(methods - TEST_ONLY_METHODS.keys()) == []
-    assert sorted(TEST_ONLY_METHODS.keys() - methods) == []  # no stale entries in the list
+    assert sorted(methods) == []
 
 
 def _unread_imports(path: Path) -> set[str]:

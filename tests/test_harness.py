@@ -241,6 +241,12 @@ class TestRunExperiment:
             tiny_spec(tmp_path, sketch_sizes=(0, -5))
         with pytest.raises(ValueError):
             tiny_spec(tmp_path, outer_max=0)
+        with pytest.raises(ValueError, match=r"sketch sizes must be distinct, got \[0, 16, 0\]"):
+            tiny_spec(tmp_path, sketch_sizes=(0, 16, 0))
+        # :g keeps six significant digits, so both would write lam0.05
+        with pytest.raises(ValueError, match=r"lambda values \[0.05, 0.05000001\]"):
+            tiny_spec(tmp_path, lam_grid=(0.05, 0.1, 0.05000001))
+        tiny_spec(tmp_path, lam_grid=(0.05, 0.050001))  # lam0.05 and lam0.050001
 
 
 class TestCompareInnerIterations:

@@ -1,19 +1,19 @@
-"""The Newton state of the P-metric box prox: Jacobian memo, per-solve
-state in WAPG, and the Cholesky step."""
+"""The Newton state of the P-metric proxes: Jacobian memo, Woodbury move,
+per-solve state in WAPG, and the Cholesky step."""
 
-import pickle
 import sys
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnp import prox
 from rnp.core import Rng, standard_normal_matrix
 from rnp.problems import make_ct
-from rnp.prox import (BoxConstraint, BoxProx, NewtonState, _newton_jacobian, _newton_step,
-                      wpm_structured)
+from rnp.prox import (BoxConstraint, BoxProx, NewtonState, SoftThresholdProx,
+                      _newton_jacobian, _newton_step, wpm_structured)
 from rnp.solvers import WapgConfig, build_wapg_preconditioner, wapg_solve
 
 
@@ -59,15 +59,28 @@ class TestJacobianMemo:
 
 
 class TestNewtonStateUbar:
-    def test_keeps_an_unpickled_float64_ubar(self):
-        # an unpickled array's dtype is float64 but not numpy's own dtype
-        # object, which asarray with a dtype answers with a copy
-        ubar = pickle.loads(pickle.dumps(standard_normal_matrix(40, 3, Rng(70))))
+    def test_along_is_the_woodbury_move_for_any_ubar(self):
+        # columns that are neither orthogonal nor of equal norm
+        rng = Rng(73)
+        n, r = 30, 4
+        ubar = standard_normal_matrix(n, r, rng)
+        ubar[:, 1] += 2.0 * ubar[:, 0]
         state = NewtonState(ubar)
-        assert state.ubar is ubar
-        x = 2.0 * Rng(71).normal(40)
-        _, gamma = wpm_structured(BoxProx(BoxConstraint(0.0, 1.0)), x, ubar, newton=state)
-        assert state.gamma is gamma
+        dense_pinv = np.linalg.inv(np.eye(n) + ubar @ ubar.T)
+        for _ in range(5):
+            x = rng.normal(n)
+            ref = dense_pinv @ x
+            assert np.abs(x - ubar @ state.along(x) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("prox_d", [BoxProx(BoxConstraint(0.0, 1.0)),
+                                        SoftThresholdProx(0.3)])
+    def test_zero_column_state_gives_the_plain_prox(self, prox_d):
+        state = NewtonState(np.zeros((20, 0)))
+        x = 2.0 * Rng(74).normal(20)
+        shift = state.along(x)
+        assert shift.shape == (0,)
+        u, gamma = wpm_structured(prox_d, x, state, shift=shift)
+        assert np.array_equal(u, prox_d(x)) and gamma.size == 0
 
     def test_converts_other_dtypes(self):
         ubar = standard_normal_matrix(20, 2, Rng(72)).astype(np.float32)

@@ -26,6 +26,17 @@ class IdentityProx(SeparableProx):
         return np.ones(np.shape(u), dtype=bool)
 
 
+def identity_metric(n: int) -> NewtonState:
+    """The state of the metric P = I: a Ubar with no columns."""
+    return NewtonState(np.zeros((n, 0)))
+
+
+def p_norm_sq(ubar: np.ndarray, v: np.ndarray) -> float:
+    """||v||_P^2 = ||v||^2 + ||Ubar'v||^2 for P = I + Ubar Ubar'."""
+    moved = ubar.T @ v
+    return float(v @ v) + float(moved @ moved)
+
+
 def difference_1d() -> LinearOperator:
     return LinearOperator(2, 1, lambda x: np.array([x[0] - x[1]]),
                           lambda y: np.array([y[0], -y[0]]))
@@ -179,7 +190,7 @@ class TestWpmStructured:
     def test_empty_ubar_returns_plain_prox(self):
         box = BoxConstraint(0.0, 1.0)
         x = np.array([-0.5, 0.5, 2.0])
-        u, gamma = wpm_structured(BoxProx(box), x, np.zeros((3, 0)))
+        u, gamma = wpm_structured(BoxProx(box), x, identity_metric(3))
         assert np.array_equal(u, [0.0, 0.5, 1.0])
         assert gamma.size == 0
 
@@ -187,7 +198,7 @@ class TestWpmStructured:
         rng = Rng(8)
         x = rng.normal(6)
         ubar = standard_normal_matrix(6, 2, rng)
-        u, gamma = wpm_structured(IdentityProx(), x, ubar, tol=1e-12)
+        u, gamma = wpm_structured(IdentityProx(), x, NewtonState(ubar), tol=1e-12)
         assert np.allclose(u, x, atol=1e-10)
         assert np.allclose(gamma, 0.0, atol=1e-10)
 
@@ -198,7 +209,7 @@ class TestWpmStructured:
             r = rng.spawn(trial)
             x = 2.0 * r.normal(6)
             ubar = standard_normal_matrix(6, 2, r)
-            u, gamma = wpm_structured(BoxProx(box), x, ubar, tol=1e-12)
+            u, gamma = wpm_structured(BoxProx(box), x, NewtonState(ubar), tol=1e-12)
             # oracle: projected gradient on 0.5||u-x||_W^2, W = I + Ubar Ubar'
             w = np.eye(6) + ubar @ ubar.T
             eta = 1.0 / np.linalg.eigvalsh(w).max()
@@ -219,7 +230,7 @@ class TestWpmStructured:
         x = rng.normal(8)
         ubar = 0.7 * standard_normal_matrix(8, 3, rng)
         tau = 0.4
-        u, _ = wpm_structured(SoftThresholdProx(tau), x, ubar, tol=1e-12)
+        u, _ = wpm_structured(SoftThresholdProx(tau), x, NewtonState(ubar), tol=1e-12)
         w = np.eye(8) + ubar @ ubar.T
         g = w @ (u - x)
         on = np.abs(u) > 1e-12
@@ -229,7 +240,7 @@ class TestWpmStructured:
     def test_nonconvergence_raises(self):
         with pytest.raises(RuntimeError):
             wpm_structured(BoxProx(BoxConstraint(0.0, 1.0)), 3.0 * np.ones(4),
-                           np.ones((4, 1)), tol=1e-16, max_iter=1)
+                           NewtonState(np.ones((4, 1))), tol=1e-16, max_iter=1)
 
 
 class TestShiftedProx:
@@ -247,10 +258,9 @@ class TestShiftedProx:
         for _ in range(6):  # both states are reused across calls with different shifts
             v = 1.5 * rng.normal(n) + 0.5
             w = rng.normal(r)
-            folded, gamma = wpm_structured(prox_d, v, ubar, tol=1e-12,
-                                           newton=folded_state, shift=w)
-            explicit, gamma_ref = wpm_structured(prox_d, v + ubar @ w, ubar, tol=1e-12,
-                                                 newton=explicit_state)
+            folded, gamma = wpm_structured(prox_d, v, folded_state, tol=1e-12, shift=w)
+            explicit, gamma_ref = wpm_structured(prox_d, v + ubar @ w, explicit_state,
+                                                 tol=1e-12)
             assert np.abs(folded - explicit).max() <= 1e-12 * np.abs(explicit).max()
             assert np.abs(gamma - gamma_ref).max() <= 1e-12 * np.abs(gamma_ref).max()
             assert folded_state.gamma is gamma
@@ -261,8 +271,9 @@ class TestShiftedProx:
         ubar = standard_normal_matrix(30, 3, rng)
         x = 2.0 * rng.normal(30)
         box_prox = BoxProx(BoxConstraint(0.0, 1.0))
-        plain, gamma = wpm_structured(box_prox, x, ubar, tol=1e-12)
-        zero, gamma_zero = wpm_structured(box_prox, x, ubar, tol=1e-12, shift=np.zeros(3))
+        plain, gamma = wpm_structured(box_prox, x, NewtonState(ubar), tol=1e-12)
+        zero, gamma_zero = wpm_structured(box_prox, x, NewtonState(ubar), tol=1e-12,
+                                          shift=np.zeros(3))
         assert np.array_equal(plain, zero) and np.array_equal(gamma, gamma_zero)
 
 
@@ -286,16 +297,14 @@ class TestWpmFastPath:
         ubar = 0.5 * standard_normal_matrix(50, 5, rng)
         x = 2.0 * rng.normal(50)
         state = NewtonState(ubar)
-        _, gamma_prev = wpm_structured(box_prox, x, ubar, tol=1e-12, newton=state)
+        _, gamma_prev = wpm_structured(box_prox, x, state, tol=1e-12)
         assert state.gamma is gamma_prev
         x_next = x + 0.05 * rng.normal(50)
         tol = 1e-12
-        cold, _ = wpm_structured(box_prox, x_next, ubar, tol=tol)
-        warm, gamma = wpm_structured(box_prox, x_next, ubar, tol=tol, newton=state)
+        cold, _ = wpm_structured(box_prox, x_next, NewtonState(ubar), tol=tol)
+        warm, gamma = wpm_structured(box_prox, x_next, state, tol=tol)
         assert np.abs(warm - cold).max() <= 1e-10
         assert np.linalg.norm(ubar.T @ (x_next - warm) + gamma) <= tol
-        with pytest.raises(ValueError):  # a state of another Ubar
-            wpm_structured(box_prox, x_next, ubar, newton=NewtonState(ubar.copy()))
 
     def test_warm_start_cuts_newton_steps_in_wapg(self, monkeypatch):
         problem = make_ct(32, 20, "tv", 0.01, Rng(0))
@@ -320,7 +329,8 @@ class TestWpmFastPath:
         warm_func = prox.wpm_structured
         # a fresh Newton state per projection: gamma starts from zero
         monkeypatch.setattr(prox, "wpm_structured",
-                            lambda *a, newton=None, **kw: warm_func(*a, **kw))
+                            lambda prox_d, x, newton, **kw:
+                            warm_func(prox_d, x, NewtonState(newton.ubar), **kw))
         cold_steps, cold_trace = solve()
         assert 0 < warm_steps < cold_steps
         assert np.array_equal(warm_trace.inner_iters, cold_trace.inner_iters)
@@ -332,7 +342,7 @@ class TestWpmMixedDual:
         gs = GroupStructure("scalar", 4, 1)
         box = BoxConstraint(0.0, 1.0)
         s = np.array([-1.0, 0.5, 2.0, 0.1])
-        x, q, iters = wpm_mixed_dual(s, 0.0, identity_operator(4), gs, 1, None, box,
+        x, q, iters = wpm_mixed_dual(s, 0.0, identity_operator(4), gs, 1, identity_metric(4), box,
                                      l_norm_sq=1.0)
         assert np.array_equal(x, [0.0, 0.5, 1.0, 0.1])
         assert np.all(q == 0.0) and iters == 0
@@ -342,7 +352,7 @@ class TestWpmMixedDual:
         free = BoxConstraint()
         for s, lam in (((3.0, 1.0), 0.5), ((3.0, 1.0), 2.0), ((-1.0, 4.0), 1.2)):
             s = np.array(s)
-            x, _, _ = wpm_mixed_dual(s, lam, difference_1d(), gs, 1, None, free,
+            x, _, _ = wpm_mixed_dual(s, lam, difference_1d(), gs, 1, identity_metric(2), free,
                                      l_norm_sq=2.0, inner_tol=1e-14, inner_max=500)
             shrink = min(lam, abs(s[0] - s[1]) / 2.0)
             sign = np.sign(s[0] - s[1])
@@ -353,7 +363,7 @@ class TestWpmMixedDual:
         gs = GroupStructure("scalar", 12, 1)
         box = BoxConstraint(0.0, 1.0)
         s = 2.0 * Rng(11).normal(12)
-        x, _, _ = wpm_mixed_dual(s, 0.7, identity_operator(12), gs, 1, None, box,
+        x, _, _ = wpm_mixed_dual(s, 0.7, identity_operator(12), gs, 1, identity_metric(12), box,
                                  l_norm_sq=1.0, inner_tol=1e-12, inner_max=2000)
         ref = np.clip(soft_threshold(s, 0.7), 0.0, 1.0)
         assert np.abs(x - ref).max() <= 1e-8
@@ -365,7 +375,7 @@ class TestWpmMixedDual:
         rng = Rng(12)
         s = rng.normal(n * n) * 0.8 + 0.5
         lam = 0.15
-        x, q, _ = wpm_mixed_dual(s, lam, op, gs, 1, None, box,
+        x, q, _ = wpm_mixed_dual(s, lam, op, gs, 1, identity_metric(n * n), box,
                                  l_norm_sq=weighted_op_norm_sq(op, gs, n, n),
                                  inner_tol=1e-9, inner_max=20000)
         # oracle: plain projected gradient on the dual with a dense matrix
@@ -393,13 +403,13 @@ class TestWpmMixedDual:
         factor_u, _ = np.linalg.qr(standard_normal_matrix(n * n, 4, rng))
         factor = NystromFactor(factor_u, np.array([5.0, 3.0, 2.0, 1.0]))
         pre = build_preconditioner(factor, mu=0.5)
-        x, q, _ = wpm_mixed_dual(s, lam, op, gs, 1, pre, box,
+        x, q, _ = wpm_mixed_dual(s, lam, op, gs, 1, NewtonState(pre.Ubar), box,
                                  l_norm_sq=weighted_op_norm_sq(op, gs, n, n),
                                  inner_tol=inner_tol, inner_max=50000)
         lx = op.apply(x)
         gap = lam * (mixed_norm_value(lx, 1, gs) - group_pairing(q, lx, gs))
         diff = x - s
-        primal = 0.5 * float(diff @ pre.apply_P(diff)) + lam * mixed_norm_value(lx, 1, gs)
+        primal = 0.5 * p_norm_sq(pre.Ubar, diff) + lam * mixed_norm_value(lx, 1, gs)
         assert gap >= -1e-12
         assert gap <= 10.0 * inner_tol * (1.0 + abs(primal))
 
@@ -408,11 +418,11 @@ class TestWpmMixedDual:
         box = BoxConstraint(0.0, 1.0)
         s = Rng(14).normal(36) * 0.5 + 0.5
         op2, gs2 = grad_operator(6, 6)
-        x2, _, _ = wpm_mixed_dual(s, 0.1, op2, gs2, 2, None, box,
+        x2, _, _ = wpm_mixed_dual(s, 0.1, op2, gs2, 2, identity_metric(36), box,
                                   l_norm_sq=weighted_op_norm_sq(op2, gs2, 6, 6))
         assert np.all((x2 >= 0) & (x2 <= 1))
         oph, gsh = hessian_operator(6, 6)
-        xh, _, _ = wpm_mixed_dual(s, 0.05, oph, gsh, 1, None, box,
+        xh, _, _ = wpm_mixed_dual(s, 0.05, oph, gsh, 1, identity_metric(36), box,
                                   l_norm_sq=weighted_op_norm_sq(oph, gsh, 6, 6))
         assert np.all((xh >= 0) & (xh <= 1))
 
@@ -452,13 +462,14 @@ class TestDualProxWithPreconditioner:
         pre = build_preconditioner(factor, mu=0.3)
         lam = 0.1
         inner_tol = 1e-8
-        x, q, _ = wpm_mixed_dual(s, lam, op, gs, 1, pre, BoxConstraint(0.0, 1.0),
+        x, q, _ = wpm_mixed_dual(s, lam, op, gs, 1, NewtonState(pre.Ubar),
+                                 BoxConstraint(0.0, 1.0),
                                  l_norm_sq=weighted_op_norm_sq(op, gs, n, n),
                                  inner_tol=inner_tol, inner_max=50000)
         lx = op.apply(x)
         gap = lam * (mixed_norm_value(lx, 1, gs) - group_pairing(q, lx, gs))
         diff = x - s
-        primal = 0.5 * float(diff @ pre.apply_P(diff)) + lam * mixed_norm_value(lx, 1, gs)
+        primal = 0.5 * p_norm_sq(pre.Ubar, diff) + lam * mixed_norm_value(lx, 1, gs)
         assert -1e-12 <= gap <= 10.0 * inner_tol * (1.0 + abs(primal))
         assert np.all((x >= 0.0) & (x <= 1.0))
 
@@ -483,12 +494,12 @@ class TestDualProxInNewtonCoordinates:
         points = []
         original = prox.wpm_structured
 
-        def recording(prox_d, v, ubar, **kwargs):
-            points.append(v + ubar @ kwargs["shift"])
-            return original(prox_d, v, ubar, **kwargs)
+        def recording(prox_d, v, newton, **kwargs):
+            points.append(v + newton.ubar @ kwargs["shift"])
+            return original(prox_d, v, newton, **kwargs)
 
         monkeypatch.setattr(prox, "wpm_structured", recording)
-        wpm_mixed_dual(s, lam, op, gs, 1, pre, BoxConstraint(0.0, 1.0),
+        wpm_mixed_dual(s, lam, op, gs, 1, NewtonState(pre.Ubar), BoxConstraint(0.0, 1.0),
                        l_norm_sq=weighted_op_norm_sq(op, gs, 8, 8), q0=q0, inner_max=1)
         # the first projection recovers the primal point of q0
         explicit = s - lam * pre.apply_Pinv(op.adjoint(gs.range_weights * q0))
@@ -500,7 +511,8 @@ class TestDualProxInNewtonCoordinates:
         apply_pinv = Preconditioner.apply_Pinv
         monkeypatch.setattr(Preconditioner, "apply_Pinv",
                             lambda self, v: calls.append(1) or apply_pinv(self, v))
-        _, _, iters = wpm_mixed_dual(s, 0.2, op, gs, 1, pre, BoxConstraint(0.0, 1.0),
+        _, _, iters = wpm_mixed_dual(s, 0.2, op, gs, 1, NewtonState(pre.Ubar),
+                                     BoxConstraint(0.0, 1.0),
                                      l_norm_sq=weighted_op_norm_sq(op, gs, 8, 8), q0=q0)
         assert iters > 1
         assert calls == []

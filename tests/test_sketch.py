@@ -98,7 +98,7 @@ class TestNystromApprox:
                 kappa = (factor.S_hat[0] + mu) / (factor.S_hat[-1] + mu)
                 tol = 500 * np.finfo(float).eps * kappa
                 for v in standard_normal_matrix(60, 5, Rng(300 + seed)).T:
-                    back = pre.apply_Pinv(pre.apply_P(v))
+                    back = pre.apply_Pinv(v + pre.Ubar @ (pre.Ubar.T @ v))
                     assert np.linalg.norm(back - v) <= tol * np.linalg.norm(v)
 
     def test_block_sketch_of_ct_wavelet_normal_operator_equals_columnwise_sketch(self, monkeypatch):
@@ -287,12 +287,14 @@ class TestPreconditioner:
         rng = Rng(22)
         for _ in range(20):
             v = rng.normal(40)
-            assert np.abs(self.pre.apply_Pinv(self.pre.apply_P(v)) - v).max() < 1e-9
+            p_v = v + self.pre.Ubar @ (self.pre.Ubar.T @ v)
+            assert np.abs(self.pre.apply_Pinv(p_v) - v).max() < 1e-9
 
     def test_identity_off_sketch_range(self):
         v = Rng(23).normal(40)
         v -= self.factor.U @ (self.factor.U.T @ v)
-        assert np.abs(self.pre.apply_P(v) - v).max() < 1e-10
+        assert np.abs(self.pre.apply_Pinv(v) - v).max() < 1e-10
+        assert np.abs(self.pre.apply_Pinvhalf(v) - v).max() < 1e-10
 
     def test_half_power_composition(self):
         rng = Rng(25)
@@ -302,9 +304,11 @@ class TestPreconditioner:
             assert np.abs(twice - self.pre.apply_Pinv(v)).max() < 1e-9
 
     def test_rank_structured_form_matches_P(self):
-        v = Rng(26).normal(40)
-        via_ubar = v + self.pre.Ubar @ (self.pre.Ubar.T @ v)
-        assert np.abs(via_ubar - self.pre.apply_P(v)).max() < 1e-9
+        # I + Ubar Ubar' is the module's P = U diag(d) U' + (I - U U')
+        u = self.factor.U
+        dense = (u * self.pre.d) @ u.T + np.eye(40) - u @ u.T
+        via_ubar = np.eye(40) + self.pre.Ubar @ self.pre.Ubar.T
+        assert np.abs(via_ubar - dense).max() < 1e-9
 
     def test_full_rank_limit_flattens_spectrum(self):
         phi = random_psd(30, np.linspace(0.2, 2.0, 30), seed=28)
